@@ -11,16 +11,17 @@
 //!   would, including single-byte-skip resynchronization after
 //!   corruption;
 //! * [`poll`] — the readiness seam: a [`Poller`] backs the reactor's
-//!   level-triggered sweep loop; the shipped [`SpinPark`] implementation
-//!   is a portable yield-then-park backoff (the workspace forbids
-//!   `unsafe`, so a raw `poll(2)` cannot be issued — the trait is where
-//!   a platform poller would slot in);
+//!   level-triggered sweep loop; the shipped [`IdlePark`] implementation
+//!   parks for `EdgeConfig::idle_park` on the first sweep that finds
+//!   nothing to do (the workspace forbids `unsafe`, so a raw `poll(2)`
+//!   cannot be issued — the trait is where a platform poller would slot
+//!   in);
 //! * [`reactor`] — [`Edge`]: a single-threaded, poll-based reactor over
-//!   a nonblocking `TcpListener` plus `UdpSocket`, handing decoded
-//!   frames into the serve layer's hash(client id) → shard queues
-//!   ([`mobisense_serve::ShardEngine`]) under the queue's explicit
-//!   backpressure policies, with the flight recorder teed on the exact
-//!   wire bytes.
+//!   a nonblocking `TcpListener` plus `UdpSocket`, handing each read's
+//!   decoded frames as one batch into the serve layer's
+//!   hash(client id) → shard queues ([`mobisense_serve::ShardEngine`])
+//!   under the queue's explicit backpressure policies, with the flight
+//!   recorder teed the batch's exact wire bytes as one message.
 //!
 //! The edge extends the serve determinism contract to the socket path:
 //! TCP preserves per-connection byte order, one client per connection
@@ -41,7 +42,7 @@ pub mod poll;
 pub mod reactor;
 
 pub use conn::FrameAssembler;
-pub use poll::{Poller, SpinPark};
+pub use poll::{IdlePark, Poller};
 pub use reactor::{
     send_datagrams_udp, send_streams_tcp, serve_sockets, serve_sockets_recorded, ConnOutcome,
     ConnSummary, Edge, EdgeConfig, EdgeReport, EdgeStats,

@@ -6,11 +6,13 @@
 //! portably is nonblocking I/O plus `WouldBlock`. The reactor therefore
 //! runs **level-triggered sweeps** — try every socket, note whether any
 //! byte moved — and delegates the "nothing was ready" case to a
-//! [`Poller`]. The shipped [`SpinPark`] backs off from busy spinning
-//! (cheap when traffic is flowing) to `park_timeout` naps (cheap when
-//! it is not). A platform poller that really sleeps in the kernel until
-//! readiness would implement the same one-method trait and slot in
-//! without touching the sweep loop.
+//! [`Poller`]. The shipped [`IdlePark`] parks on the first empty sweep:
+//! spinning or yielding first would buy a few microseconds of latency
+//! at the cost of a busy reactor whenever traffic is steady but sparse
+//! (frames 10 µs apart never let a yield budget run out). A platform
+//! poller that really sleeps in the kernel until readiness would
+//! implement the same one-method trait and slot in without touching
+//! the sweep loop.
 
 use std::time::Duration;
 
@@ -23,42 +25,28 @@ pub trait Poller {
     fn wait(&mut self, progress: bool);
 }
 
-/// Portable yield-then-park backoff.
+/// Portable park-on-empty poller.
 ///
 /// While sweeps make progress it returns immediately. After a sweep
-/// with nothing ready it yields the CPU for a few rounds (latency
-/// matters right after a burst), then parks for `idle_park` per sweep
-/// until traffic resumes. `park_timeout` may wake spuriously; that only
-/// costs an extra sweep, never correctness.
+/// with nothing ready it parks for `idle_park`, so a frame waits in its
+/// socket buffer at most that long before the next sweep reads it.
+/// `park_timeout` may wake spuriously; that only costs an extra sweep,
+/// never correctness.
 #[derive(Debug)]
-pub struct SpinPark {
-    idle_sweeps: u32,
-    yield_rounds: u32,
+pub struct IdlePark {
     idle_park: Duration,
 }
 
-impl SpinPark {
-    /// A poller that yields for `yield_rounds` empty sweeps before
-    /// parking `idle_park` per empty sweep.
-    pub fn new(yield_rounds: u32, idle_park: Duration) -> Self {
-        SpinPark {
-            idle_sweeps: 0,
-            yield_rounds,
-            idle_park,
-        }
+impl IdlePark {
+    /// A poller that parks `idle_park` after every empty sweep.
+    pub fn new(idle_park: Duration) -> Self {
+        IdlePark { idle_park }
     }
 }
 
-impl Poller for SpinPark {
+impl Poller for IdlePark {
     fn wait(&mut self, progress: bool) {
-        if progress {
-            self.idle_sweeps = 0;
-            return;
-        }
-        self.idle_sweeps = self.idle_sweeps.saturating_add(1);
-        if self.idle_sweeps <= self.yield_rounds {
-            std::thread::yield_now();
-        } else {
+        if !progress {
             std::thread::park_timeout(self.idle_park);
         }
     }
@@ -67,19 +55,27 @@ impl Poller for SpinPark {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
-    fn progress_resets_backoff() {
-        let mut p = SpinPark::new(2, Duration::from_micros(1));
-        p.wait(false);
-        p.wait(false);
-        assert_eq!(p.idle_sweeps, 2);
-        p.wait(true);
-        assert_eq!(p.idle_sweeps, 0);
-        // Past the yield budget the park path runs (bounded: 1µs).
-        p.wait(false);
-        p.wait(false);
-        p.wait(false);
-        assert_eq!(p.idle_sweeps, 3);
+    fn progress_never_parks() {
+        // A park this long would hang the test: progress must return
+        // at once.
+        let mut p = IdlePark::new(Duration::from_secs(60));
+        let t = Instant::now();
+        for _ in 0..1000 {
+            p.wait(true);
+        }
+        assert!(t.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn empty_sweep_parks_boundedly() {
+        let mut p = IdlePark::new(Duration::from_micros(50));
+        let t = Instant::now();
+        for _ in 0..10 {
+            p.wait(false);
+        }
+        assert!(t.elapsed() < Duration::from_secs(5));
     }
 }

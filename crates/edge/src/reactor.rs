@@ -5,11 +5,14 @@
 //! until `WouldBlock` (rejecting past [`EdgeConfig::max_conns`]), give
 //! every live connection one bounded read (fairness: no connection can
 //! monopolize a sweep), drain the UDP socket, then consult the
-//! [`Poller`](crate::poll::Poller) with whether anything moved. Decoded
-//! frames go through [`ShardEngine::submit`] — the same
-//! hash(client id) → shard mapping and overflow policies as the
-//! in-process path — after the flight recorder (when attached) has been
-//! teed the frame's exact wire bytes.
+//! [`Poller`](crate::poll::Poller) with whether anything moved.
+//!
+//! The frames of one read (one TCP read quantum, or one datagram) travel
+//! as one batch: the flight recorder (when attached) is teed their exact
+//! wire bytes as one message, then they go through one
+//! [`ShardEngine::submit_batch`] — the same hash(client id) → shard
+//! mapping and overflow policies as the in-process path — with one
+//! ingest stamp and one update of the shared counters per read.
 //!
 //! **Conservation invariant**: every frame decoded off the wire is
 //! accounted for exactly once — `accepted == processed + shed +
@@ -41,7 +44,7 @@ use mobisense_telemetry::{Event, Registry, Sink};
 use mobisense_util::units::Nanos;
 
 use crate::conn::FrameAssembler;
-use crate::poll::{Poller, SpinPark};
+use crate::poll::{IdlePark, Poller};
 
 /// Tuning for the socket edge. `Default` suits loopback tests; a real
 /// deployment raises `max_conns` toward its fd budget.
@@ -55,9 +58,8 @@ pub struct EdgeConfig {
     /// Per-connection assembly-buffer ceiling; a connection whose
     /// pending (undecodable) bytes exceed this is closed as `Oversize`.
     pub read_buf_cap: usize,
-    /// Empty sweeps yield this many times before parking.
-    pub yield_rounds: u32,
-    /// Park per empty sweep once the yield budget is spent.
+    /// Park after every sweep that found nothing to do. Bounds how long
+    /// a frame can wait in a socket buffer before the next sweep.
     pub idle_park: Duration,
     /// Frames a single connection may deliver; past it the connection
     /// is condemned, further frames are counted rejected (not lost),
@@ -71,7 +73,6 @@ impl Default for EdgeConfig {
             max_conns: 16_384,
             read_chunk: 4096,
             read_buf_cap: 64 * 1024,
-            yield_rounds: 64,
             idle_park: Duration::from_micros(200),
             frame_quota: 0,
         }
@@ -253,6 +254,53 @@ struct Conn {
     condemned: bool,
 }
 
+/// One read's decoded frames, handed on together by [`ReadBatch::flush`].
+struct ReadBatch {
+    frames: Vec<ObsFrame>,
+    /// The frames' exact wire bytes laid end to end (only collected
+    /// when a recorder is attached)...
+    wire: Vec<u8>,
+    /// ...and where each frame ends in `wire`.
+    ends: Vec<usize>,
+    recorder: Option<RecorderHandle>,
+}
+
+impl ReadBatch {
+    fn new(recorder: Option<RecorderHandle>) -> Self {
+        ReadBatch {
+            frames: Vec::new(),
+            wire: Vec::new(),
+            ends: Vec::new(),
+            recorder,
+        }
+    }
+
+    fn push(&mut self, frame: ObsFrame, raw: &[u8]) {
+        if self.recorder.is_some() {
+            self.wire.extend_from_slice(raw);
+            self.ends.push(self.wire.len());
+        }
+        self.frames.push(frame);
+    }
+
+    /// The frame path: tee the exact wire bytes to the recorder (the
+    /// byte-identical-replay contract), then hand the frames to the
+    /// shard engine. Under Block overflow this is where socket-side
+    /// backpressure happens: the reactor stalls, the kernel buffers
+    /// fill, senders block — pressure propagates to the wire.
+    fn flush(&mut self, engine: &ShardEngine) {
+        if self.frames.is_empty() {
+            return;
+        }
+        if let Some(rec) = &self.recorder {
+            rec.record_frames(&self.wire, &self.ends);
+            self.wire.clear();
+            self.ends.clear();
+        }
+        engine.submit_batch(Ticket::untraced(), self.frames.drain(..));
+    }
+}
+
 /// Result of giving one connection its read quantum.
 enum Pump {
     /// Still open; the flag says whether any byte was read.
@@ -273,13 +321,14 @@ impl Conn {
         }
     }
 
-    /// One bounded read + decode + submit pass.
+    /// One bounded read + decode pass, collecting the read's accepted
+    /// frames into `batch` (the caller flushes it).
     fn pump(
         &mut self,
         scratch: &mut [u8],
         cfg: &EdgeConfig,
         shared: &EdgeShared,
-        submit: &mut dyn FnMut(ObsFrame, &[u8]),
+        batch: &mut ReadBatch,
     ) -> Pump {
         match self.sock.read(scratch) {
             Ok(0) => Pump::Closed(if self.condemned {
@@ -299,19 +348,26 @@ impl Conn {
                     condemned,
                     ..
                 } = self;
+                let (mut decoded, mut rejected) = (0u64, 0u64);
                 asm.feed(chunk, &mut |frame, raw| {
-                    shared.frames.fetch_add(1, Ordering::Relaxed);
+                    decoded += 1;
                     if *condemned || (quota > 0 && *frames >= quota) {
                         *condemned = true;
-                        shared.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                        rejected += 1;
                         return;
                     }
                     *frames += 1;
                     if frame.at > *last_at {
                         *last_at = frame.at;
                     }
-                    submit(frame, raw);
+                    batch.push(frame, raw);
                 });
+                shared.frames.fetch_add(decoded, Ordering::Relaxed);
+                if rejected > 0 {
+                    shared
+                        .frames_rejected
+                        .fetch_add(rejected, Ordering::Relaxed);
+                }
                 if self.condemned {
                     Pump::Closed(ConnOutcome::Rejected)
                 } else if self.asm.pending() > cfg.read_buf_cap {
@@ -521,7 +577,7 @@ fn run_reactor(
     shared: &EdgeShared,
     stop: &AtomicBool,
 ) -> io::Result<ReactorOutcome> {
-    let mut poller = SpinPark::new(cfg.yield_rounds, cfg.idle_park);
+    let mut poller = IdlePark::new(cfg.idle_park);
     let mut conns: Vec<Conn> = Vec::new();
     let mut summaries: Vec<ConnSummary> = Vec::new();
     let mut scratch = vec![0u8; cfg.read_chunk.max(1)];
@@ -529,18 +585,7 @@ fn run_reactor(
     let mut next_id = 0u64;
     let mut truncated = 0u64;
     let mut last_at: Nanos = 0;
-
-    // The frame path: tee the exact wire bytes to the recorder (the
-    // byte-identical-replay contract), then hand the frame to the
-    // shard engine. Under Block overflow this is where socket-side
-    // backpressure happens: the reactor stalls, the kernel buffers
-    // fill, senders block — pressure propagates to the wire.
-    let mut submit = |frame: ObsFrame, raw: &[u8]| {
-        if let Some(rec) = recorder.as_ref() {
-            rec.record_frame(raw);
-        }
-        engine.submit(Ticket::untraced(), frame);
-    };
+    let mut batch = ReadBatch::new(recorder);
 
     // Consecutive read sweeps skipped under an accept storm (bounded:
     // reads are delayed, never starved).
@@ -608,9 +653,10 @@ fn run_reactor(
         let mut buffered = 0u64;
         while i < conns.len() {
             let pumped = match conns.get_mut(i) {
-                Some(conn) => conn.pump(&mut scratch, cfg, shared, &mut submit),
+                Some(conn) => conn.pump(&mut scratch, cfg, shared, &mut batch),
                 None => break,
             };
+            batch.flush(&engine);
             match pumped {
                 Pump::Open(moved) => {
                     progress |= moved;
@@ -644,16 +690,19 @@ fn run_reactor(
                     shared.datagrams.fetch_add(1, Ordering::Relaxed);
                     shared.bytes.fetch_add(n as u64, Ordering::Relaxed);
                     let datagram = udp_buf.get(..n).unwrap_or_default();
-                    let (frames, consumed, err) = decode_datagram(datagram);
-                    for (frame, raw_range) in frames {
-                        shared.frames.fetch_add(1, Ordering::Relaxed);
-                        if frame.at > last_at {
-                            last_at = frame.at;
-                        }
-                        let raw = datagram.get(raw_range).unwrap_or_default();
-                        submit(frame, raw);
+                    let (frames, consumed, err) = mobisense_serve::decode_stream_lossy(datagram);
+                    shared
+                        .frames
+                        .fetch_add(frames.len() as u64, Ordering::Relaxed);
+                    let mut off = 0usize;
+                    for frame in frames {
+                        let len = frame.encoded_len();
+                        last_at = last_at.max(frame.at);
+                        batch.push(frame, datagram.get(off..off + len).unwrap_or_default());
+                        off += len;
                     }
-                    if err {
+                    batch.flush(&engine);
+                    if err.is_some() {
                         shared.resyncs.fetch_add(1, Ordering::Relaxed);
                     }
                     truncated += (n - consumed) as u64;
@@ -676,20 +725,6 @@ fn run_reactor(
         truncated_bytes: truncated,
         last_at,
     })
-}
-
-/// Decodes one datagram: whole frames with their byte ranges, bytes
-/// consumed, and whether a decode error cut the batch short.
-fn decode_datagram(datagram: &[u8]) -> (Vec<(ObsFrame, std::ops::Range<usize>)>, usize, bool) {
-    let (frames, consumed, err) = mobisense_serve::decode_stream_lossy(datagram);
-    let mut out = Vec::with_capacity(frames.len());
-    let mut off = 0usize;
-    for frame in frames {
-        let len = frame.encoded_len();
-        out.push((frame, off..off + len));
-        off += len;
-    }
-    (out, consumed, err.is_some())
 }
 
 /// Plays a set of client streams against `addr` over TCP, one

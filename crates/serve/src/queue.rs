@@ -141,9 +141,21 @@ struct Inner {
     /// Deepest occupancy since the last [`ShardQueue::take_high_water`]
     /// read (the ops monitor's between-ticks peak detector).
     high_water: usize,
+    /// Workers parked on `not_empty`.
+    parked_consumers: usize,
+    /// Producers parked on `not_full`.
+    parked_producers: usize,
 }
 
-/// A bounded FIFO between one ingest producer and one shard worker.
+/// A bounded FIFO between ingest producers and one shard worker.
+///
+/// Both directions move batches: [`push_batch`](Self::push_batch)
+/// enqueues a whole read's frames under one lock, and
+/// [`pop_batch`](Self::pop_batch) drains the backlog under one lock.
+/// A side that parks registers itself under the mutex, and the other
+/// side signals only when someone is registered: an unconditional
+/// `Condvar::notify_*` costs a futex syscall even with no waiter, an
+/// order of magnitude more than the lock itself.
 #[derive(Debug)]
 pub struct ShardQueue {
     inner: Mutex<Inner>,
@@ -177,70 +189,29 @@ impl ShardQueue {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueues one frame under the given overflow policy. Returns the
-    /// number of frames shed to make room (always 0 under
+    /// Enqueues one item under the given overflow policy: the one-item
+    /// case of [`push_batch`](Self::push_batch). Returns the number of
+    /// frames shed to make room (always 0 under
     /// [`OverflowPolicy::Block`]).
+    pub fn push(&self, item: QueueItem, policy: OverflowPolicy) -> u64 {
+        self.enqueue(std::iter::once(item), policy).0
+    }
+
+    /// Enqueues `items` in order under one lock acquisition and one
+    /// consumer wake-up (plus one per backpressure park under
+    /// [`OverflowPolicy::Block`]). Each frame obeys the overflow policy on
+    /// its own, exactly as if pushed alone; control items
+    /// ([`WorkItem::Migrate`] / [`WorkItem::Adopt`]) keep their FIFO
+    /// position among the frames. Returns the number of frames shed to
+    /// make room (always 0 under [`OverflowPolicy::Block`]).
     ///
-    /// Pushing to a closed queue drops the frame silently; the service
+    /// Pushing to a closed queue drops the items silently; the service
     /// only closes queues after every producer has finished.
-    ///
-    /// The frame paths (`push`/`pop`) deliberately keep the loud
-    /// `expect`: if a peer died mid-mutation the FIFO's contents can no
-    /// longer be trusted, and silently serving a maybe-reordered or
-    /// maybe-truncated stream would break the determinism contract.
-    /// Failing the whole run is the correct outcome there.
-    pub fn push(&self, mut item: QueueItem, policy: OverflowPolicy) -> u64 {
-        // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        let mut shed_now = 0u64;
-        match (&item, policy) {
-            // Control items never wait and never shed: a `Migrate`
-            // marker that blocked behind its own shard's backlog while
-            // the submit frontend waits on the reply would deadlock the
-            // engine, and shedding one would silently lose a session.
-            // They are rare (one per migration), so the transient
-            // one-over-capacity occupancy is harmless.
-            (WorkItem::Migrate { .. } | WorkItem::Adopt(_), _) => {}
-            (WorkItem::Frame(..), OverflowPolicy::Block) => {
-                while inner.q.len() >= self.capacity && !inner.closed {
-                    // lint: poison-loud, hot-path -- fail fast on poison; Block backpressure parks the producer until the worker drains (woken by pop/close)
-                    inner = self.not_full.wait(inner).expect("queue poisoned");
-                }
-            }
-            (WorkItem::Frame(_, new), OverflowPolicy::ShedOldestPerClient) => {
-                if inner.q.len() >= self.capacity {
-                    let client = new.client_id;
-                    // Only frames are sheddable; control items must
-                    // survive overload, so the eviction scan skips them.
-                    let same_client = inner.q.iter().position(
-                        |it| matches!(it, WorkItem::Frame(_, f) if f.client_id == client),
-                    );
-                    let victim =
-                        same_client.or_else(|| inner.q.iter().position(WorkItem::is_frame));
-                    if let Some(i) = victim {
-                        inner.q.remove(i);
-                        shed_now = 1;
-                        inner.shed += 1;
-                    }
-                }
-            }
-        }
-        if inner.closed {
-            return shed_now;
-        }
-        // Stamped after any backpressure wait, immediately before
-        // insertion, so the dequeue delta is pure queue residency.
-        if let WorkItem::Frame(ticket, _) = &mut item {
-            if let Some(trace) = ticket.trace.as_mut() {
-                trace.mark(Stage::Enqueue);
-            }
-        }
-        inner.q.push_back(item);
-        inner.max_depth = inner.max_depth.max(inner.q.len());
-        inner.high_water = inner.high_water.max(inner.q.len());
-        drop(inner);
-        self.not_empty.notify_one();
-        shed_now
+    pub fn push_batch<I>(&self, items: I, policy: OverflowPolicy) -> u64
+    where
+        I: IntoIterator<Item = QueueItem>,
+    {
+        self.enqueue(items, policy).0
     }
 
     /// Enqueues a control item ([`WorkItem::Migrate`] /
@@ -250,39 +221,127 @@ impl ShardQueue {
     /// queue was already closed (the engine treats that as "shard gone",
     /// not an error).
     pub fn push_control(&self, item: QueueItem) -> bool {
-        // lint: poison-loud -- control path: a poisoned FIFO cannot be trusted, fail the run
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if inner.closed {
-            return false;
-        }
-        inner.q.push_back(item);
-        inner.max_depth = inner.max_depth.max(inner.q.len());
-        inner.high_water = inner.high_water.max(inner.q.len());
-        drop(inner);
-        self.not_empty.notify_one();
-        true
+        self.enqueue(std::iter::once(item), OverflowPolicy::Block).1
     }
 
-    /// Dequeues the oldest frame, blocking while the queue is open and
-    /// empty. Returns the frame and the queue depth *before* the pop
-    /// (for depth telemetry), or `None` once the queue is closed and
-    /// drained.
-    pub fn pop(&self) -> Option<(QueueItem, usize)> {
+    /// The one locked enqueue path. Returns the frames shed and whether
+    /// every item was enqueued (`false` once the queue is closed).
+    ///
+    /// The frame paths (`enqueue`/`pop_batch`) deliberately keep the
+    /// loud `expect`: if a peer died mid-mutation the FIFO's contents
+    /// can no longer be trusted, and silently serving a maybe-reordered
+    /// or maybe-truncated stream would break the determinism contract.
+    /// Failing the whole run is the correct outcome there.
+    fn enqueue<I>(&self, items: I, policy: OverflowPolicy) -> (u64, bool)
+    where
+        I: IntoIterator<Item = QueueItem>,
+    {
+        // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
+        let mut inner = self.inner.lock().expect("queue poisoned");
+        let mut shed = 0u64;
+        let mut pushed = false;
+        for mut item in items {
+            match (&item, policy) {
+                // Control items never wait and never shed: a `Migrate`
+                // marker that blocked behind its own shard's backlog
+                // while the submit frontend waits on the reply would
+                // deadlock the engine, and shedding one would silently
+                // lose a session. They are rare (one per migration), so
+                // the transient one-over-capacity occupancy is harmless.
+                (WorkItem::Migrate { .. } | WorkItem::Adopt(_), _) => {}
+                (WorkItem::Frame(..), OverflowPolicy::Block) => {
+                    while inner.q.len() >= self.capacity && !inner.closed {
+                        // The worker may be parked from before this
+                        // batch started; it must see what the batch
+                        // already queued before this producer parks.
+                        if inner.parked_consumers > 0 {
+                            self.not_empty.notify_one();
+                        }
+                        inner.parked_producers += 1;
+                        // lint: poison-loud, hot-path -- fail fast on poison; Block backpressure parks the producer until the worker drains (woken by pop_batch/close)
+                        inner = self.not_full.wait(inner).expect("queue poisoned");
+                        inner.parked_producers -= 1;
+                    }
+                }
+                (WorkItem::Frame(_, new), OverflowPolicy::ShedOldestPerClient) => {
+                    if inner.q.len() >= self.capacity {
+                        let client = new.client_id;
+                        // Only frames are sheddable; control items must
+                        // survive overload, so the eviction scan skips
+                        // them.
+                        let same_client = inner.q.iter().position(
+                            |it| matches!(it, WorkItem::Frame(_, f) if f.client_id == client),
+                        );
+                        let victim =
+                            same_client.or_else(|| inner.q.iter().position(WorkItem::is_frame));
+                        if let Some(i) = victim {
+                            inner.q.remove(i);
+                            shed += 1;
+                            inner.shed += 1;
+                        }
+                    }
+                }
+            }
+            if inner.closed {
+                break;
+            }
+            // Stamped after any backpressure wait, immediately before
+            // insertion, so the dequeue delta is pure queue residency.
+            if let WorkItem::Frame(ticket, _) = &mut item {
+                if let Some(trace) = ticket.trace.as_mut() {
+                    trace.mark(Stage::Enqueue);
+                }
+            }
+            inner.q.push_back(item);
+            inner.max_depth = inner.max_depth.max(inner.q.len());
+            inner.high_water = inner.high_water.max(inner.q.len());
+            pushed = true;
+        }
+        let open = !inner.closed;
+        let wake = pushed && inner.parked_consumers > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        (shed, open)
+    }
+
+    /// Dequeues the backlog — at most `capacity` items, oldest first —
+    /// into `batch` (cleared first), blocking while the queue is open
+    /// and empty. Each item comes with the queue depth *before its own
+    /// pop* (for depth telemetry), exactly what popping the items one
+    /// at a time would have reported. Returns `false`, with `batch`
+    /// empty, once the queue is closed and drained.
+    pub fn pop_batch(&self, batch: &mut Vec<(QueueItem, usize)>) -> bool {
+        batch.clear();
         // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
-            if let Some(item) = inner.q.pop_front() {
-                let depth = inner.q.len() + 1;
-                inner.popped += 1;
+            let depth = inner.q.len();
+            if depth > 0 {
+                let take = depth.min(self.capacity);
+                batch.extend(
+                    inner
+                        .q
+                        .drain(..take)
+                        .enumerate()
+                        .map(|(i, it)| (it, depth - i)),
+                );
+                inner.popped += take as u64;
+                let wake = inner.parked_producers > 0;
                 drop(inner);
-                self.not_full.notify_one();
-                return Some((item, depth));
+                if wake {
+                    self.not_full.notify_all();
+                }
+                return true;
             }
             if inner.closed {
-                return None;
+                return false;
             }
-            // lint: poison-loud, hot-path -- fail fast on poison; the worker idles here until a producer enqueues (woken by push/close)
+            inner.parked_consumers += 1;
+            // lint: poison-loud, hot-path -- fail fast on poison; the worker idles here until a producer enqueues (woken by enqueue/close)
             inner = self.not_empty.wait(inner).expect("queue poisoned");
+            inner.parked_consumers -= 1;
         }
     }
 
@@ -347,16 +406,42 @@ mod tests {
         WorkItem::frame(Ticket::untraced(), frame(client_id, seq))
     }
 
-    /// Drains the queue, asserting every item is a frame.
-    fn drain_frames(q: &ShardQueue) -> Vec<(u32, u32)> {
+    /// Pops batches until the queue is closed and drained.
+    fn drain(q: &ShardQueue) -> Vec<QueueItem> {
+        let mut batch = Vec::new();
         let mut got = Vec::new();
-        while let Some((it, _)) = q.pop() {
-            match it {
-                WorkItem::Frame(_, f) => got.push((f.client_id, f.seq)),
-                other => panic!("expected frame, got {other:?}"),
-            }
+        while q.pop_batch(&mut batch) {
+            got.extend(batch.drain(..).map(|(it, _)| it));
         }
         got
+    }
+
+    /// Pops one batch, which must hold exactly one item.
+    fn pop_one(q: &ShardQueue) -> (QueueItem, usize) {
+        let mut batch = Vec::new();
+        assert!(q.pop_batch(&mut batch), "queue open or non-empty");
+        assert_eq!(batch.len(), 1);
+        batch.pop().expect("one item")
+    }
+
+    /// Drains the queue, asserting every item is a frame.
+    fn drain_frames(q: &ShardQueue) -> Vec<(u32, u32)> {
+        drain(q)
+            .into_iter()
+            .map(|it| match it {
+                WorkItem::Frame(_, f) => (f.client_id, f.seq),
+                other => panic!("expected frame, got {other:?}"),
+            })
+            .collect()
+    }
+
+    /// A compact label for order assertions.
+    fn label(it: &QueueItem) -> String {
+        match it {
+            WorkItem::Frame(_, f) => format!("frame:{}:{}", f.client_id, f.seq),
+            WorkItem::Migrate { client_id, .. } => format!("migrate:{client_id}"),
+            WorkItem::Adopt(p) => format!("adopt:{}", p.client_id),
+        }
     }
 
     #[test]
@@ -412,15 +497,8 @@ mod tests {
         // client 3 has nothing queued, so the global-oldest frame goes.
         q.push(item(3, 0), OverflowPolicy::ShedOldestPerClient);
         q.close();
-        let mut kinds = Vec::new();
-        while let Some((it, _)) = q.pop() {
-            kinds.push(match it {
-                WorkItem::Frame(_, f) => format!("frame:{}", f.client_id),
-                WorkItem::Migrate { client_id, .. } => format!("migrate:{client_id}"),
-                WorkItem::Adopt(p) => format!("adopt:{}", p.client_id),
-            });
-        }
-        assert_eq!(kinds, vec!["frame:2", "migrate:9", "frame:3"]);
+        let kinds: Vec<String> = drain(&q).iter().map(label).collect();
+        assert_eq!(kinds, vec!["frame:2:0", "migrate:9", "frame:3:0"]);
         assert_eq!(q.shed(), 1);
     }
 
@@ -439,10 +517,13 @@ mod tests {
     fn close_unblocks_empty_pop() {
         let q = std::sync::Arc::new(ShardQueue::new(1));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop());
+        let h = std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            (q2.pop_batch(&mut batch), batch.len())
+        });
         std::thread::sleep(std::time::Duration::from_millis(10));
         q.close();
-        assert!(h.join().expect("no panic").is_none());
+        assert_eq!(h.join().expect("no panic"), (false, 0));
     }
 
     #[test]
@@ -463,7 +544,7 @@ mod tests {
         // while the frame path stays loud by design: a FIFO whose
         // mutation was interrupted can no longer be trusted.
         let q3 = q.clone();
-        let popper = std::thread::spawn(move || q3.pop());
+        let popper = std::thread::spawn(move || q3.pop_batch(&mut Vec::new()));
         assert!(popper.join().is_err(), "pop fails fast on poison");
     }
 
@@ -473,9 +554,9 @@ mod tests {
         for seq in 0..6 {
             q.push(item(1, seq), OverflowPolicy::Block);
         }
-        for _ in 0..6 {
-            q.pop().expect("queued frame");
-        }
+        let mut batch = Vec::new();
+        assert!(q.pop_batch(&mut batch));
+        assert_eq!(batch.len(), 6);
         assert_eq!(q.depth(), 0);
         assert_eq!(q.popped(), 6);
         // The drained queue still reports the peak once...
@@ -496,7 +577,7 @@ mod tests {
             OverflowPolicy::Block,
         );
         q.close();
-        let (it, _) = q.pop().expect("queued frame");
+        let (it, _) = pop_one(&q);
         let WorkItem::Frame(ticket, _) = it else {
             panic!("expected frame");
         };
@@ -515,18 +596,172 @@ mod tests {
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
         // The producer is parked; draining one slot lets it through.
-        let (it, depth) = q.pop().expect("first frame");
+        let (it, depth) = pop_one(&q);
         let WorkItem::Frame(_, f) = it else {
             panic!("expected frame");
         };
         assert_eq!((f.seq, depth), (0, 1));
         h.join().expect("producer finished");
-        let (it, _) = q.pop().expect("second frame");
+        let (it, _) = pop_one(&q);
         let WorkItem::Frame(_, f) = it else {
             panic!("expected frame");
         };
         assert_eq!(f.seq, 1);
         assert_eq!(q.shed(), 0);
         assert_eq!(q.max_depth(), 1);
+    }
+
+    #[test]
+    fn pop_batch_reports_per_item_depth_and_respects_capacity() {
+        let q = ShardQueue::new(4);
+        q.push_batch((0..3).map(|seq| item(1, seq)), OverflowPolicy::Block);
+        let mut batch = Vec::new();
+        assert!(q.pop_batch(&mut batch));
+        let depths: Vec<usize> = batch.iter().map(|(_, d)| *d).collect();
+        assert_eq!(depths, vec![3, 2, 1], "depth before each item's own pop");
+        // Control items ride over capacity; one pop still takes at most
+        // `capacity` items, and the rest report their own depths next.
+        q.push_batch((3..7).map(|seq| item(1, seq)), OverflowPolicy::Block);
+        let (tx, _rx) = mpsc::channel();
+        assert!(q.push_control(WorkItem::Migrate {
+            client_id: 1,
+            reply: tx,
+        }));
+        assert!(q.pop_batch(&mut batch));
+        let depths: Vec<usize> = batch.iter().map(|(_, d)| *d).collect();
+        assert_eq!(depths, vec![5, 4, 3, 2]);
+        assert!(q.pop_batch(&mut batch));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(
+            batch.first().map(|(it, d)| (label(it), *d)),
+            Some(("migrate:1".into(), 1))
+        );
+        assert_eq!(q.popped(), 8);
+    }
+
+    #[test]
+    fn control_items_keep_their_fifo_position_inside_a_batch() {
+        for policy in [OverflowPolicy::Block, OverflowPolicy::ShedOldestPerClient] {
+            let (tx, _rx) = mpsc::channel();
+            let batch = [
+                item(1, 0),
+                WorkItem::Migrate {
+                    client_id: 1,
+                    reply: tx,
+                },
+                item(2, 0),
+                WorkItem::Adopt(Box::new(MigrateParcel {
+                    client_id: 7,
+                    bytes: None,
+                    last_at: 0,
+                })),
+                item(7, 0),
+            ];
+            let q = ShardQueue::new(8);
+            q.push_batch(batch, policy);
+            q.close();
+            let order: Vec<String> = drain(&q).iter().map(label).collect();
+            assert_eq!(
+                order,
+                vec![
+                    "frame:1:0",
+                    "migrate:1",
+                    "frame:2:0",
+                    "adopt:7",
+                    "frame:7:0"
+                ]
+            );
+        }
+        // Shedding mid-batch evicts frames only: the marker survives a
+        // batch that overflows a two-slot queue three times over.
+        let q = ShardQueue::new(2);
+        let (tx, _rx) = mpsc::channel();
+        let batch = vec![
+            item(1, 0),
+            WorkItem::Migrate {
+                client_id: 1,
+                reply: tx,
+            },
+            item(1, 1),
+            item(1, 2),
+            item(1, 3),
+        ];
+        assert_eq!(q.push_batch(batch, OverflowPolicy::ShedOldestPerClient), 3);
+        q.close();
+        let order: Vec<String> = drain(&q).iter().map(label).collect();
+        assert_eq!(order, vec!["migrate:1", "frame:1:3"]);
+    }
+
+    /// Runs `body` on a helper thread and fails the test if it has not
+    /// finished within `secs` seconds — a lost wake-up then fails
+    /// instead of hanging the suite.
+    fn within<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("stress run timed out: lost wake-up")
+    }
+
+    /// A producer pushing random-size batches against a consumer
+    /// popping batches, on a tiny queue: every frame arrives once, in
+    /// order (Block), or is counted shed (shedding).
+    fn stress(capacity: usize, policy: OverflowPolicy, seed: u64) -> (u64, u64, u64) {
+        const ROUNDS: u32 = 3000;
+        let q = std::sync::Arc::new(ShardQueue::new(capacity));
+        let qc = std::sync::Arc::clone(&q);
+        let consumer = std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            let (mut popped, mut last) = (0u64, None::<u32>);
+            while qc.pop_batch(&mut batch) {
+                assert!(batch.len() <= capacity);
+                for (it, _) in batch.drain(..) {
+                    let WorkItem::Frame(_, f) = it else {
+                        panic!("only frames were pushed");
+                    };
+                    assert!(last < Some(f.seq), "FIFO order broken");
+                    last = Some(f.seq);
+                    popped += 1;
+                }
+            }
+            popped
+        });
+        let mut rng = mobisense_util::DetRng::seed_from_u64(seed);
+        let (mut pushed, mut shed, mut seq) = (0u64, 0u64, 0u32);
+        for _ in 0..ROUNDS {
+            let n = 1 + rng.index(2 * capacity + 2);
+            shed += q.push_batch((seq..seq + n as u32).map(|s| item(s % 5, s)), policy);
+            seq += n as u32;
+            pushed += n as u64;
+        }
+        q.close();
+        let popped = consumer.join().expect("consumer");
+        assert_eq!(q.shed(), shed);
+        (pushed, popped, shed)
+    }
+
+    #[test]
+    fn batched_block_stress_is_lossless_and_ordered() {
+        for capacity in 1..=4 {
+            let (pushed, popped, shed) = within(60, move || {
+                stress(capacity, OverflowPolicy::Block, capacity as u64)
+            });
+            assert_eq!((popped, shed), (pushed, 0), "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn batched_shedding_conserves_frames() {
+        for capacity in 1..=4 {
+            let (pushed, popped, shed) = within(60, move || {
+                stress(
+                    capacity,
+                    OverflowPolicy::ShedOldestPerClient,
+                    10 + capacity as u64,
+                )
+            });
+            assert_eq!(pushed, popped + shed, "capacity {capacity}");
+        }
     }
 }

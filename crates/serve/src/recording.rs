@@ -16,8 +16,13 @@
 //!   it reproduces the live decision log byte-for-byte. Recording
 //!   backpressure can slow serving, which the bench measures.
 //! * [`RecordPolicy::DropNewest`] — bounded overhead. A full channel
-//!   drops the incoming frame and counts it; serving never waits on
-//!   the recorder, but the trace is a sample, not a replayable whole.
+//!   drops the incoming frame (or the whole incoming batch) and counts
+//!   every frame of it; serving never waits on the recorder, but the
+//!   trace is a sample, not a replayable whole.
+//!
+//! A producer may hand over a whole batch of frames (one socket read)
+//! as one message, [`RecorderHandle::record_frames`]; capacity and depth
+//! still count frames.
 //!
 //! Decision rows always block: they are appended once, after the
 //! run, and losing one would silently corrupt the golden log.
@@ -42,7 +47,10 @@ pub enum RecordPolicy {
 /// Configuration of the recording channel.
 #[derive(Clone, Copy, Debug)]
 pub struct RecordingConfig {
-    /// Channel capacity, in queued records.
+    /// Channel capacity, counted in frames (a decision row counts as
+    /// one), however the frames are batched into messages. A batch
+    /// larger than the whole capacity is still admitted into an empty
+    /// channel, so occupancy never exceeds `max(capacity, batch)`.
     pub capacity: usize,
     /// Overflow policy for observation frames.
     pub policy: RecordPolicy,
@@ -88,30 +96,62 @@ pub struct RecorderStats {
     pub frames: u64,
     /// Decision rows accepted onto the channel.
     pub rows: u64,
-    /// Frames dropped by [`RecordPolicy::DropNewest`] (or arriving
-    /// after a backend failure closed the channel).
+    /// Records dropped: refused by [`RecordPolicy::DropNewest`],
+    /// offered after a backend failure closed the channel, or accepted
+    /// but never written because the backend failed first.
     pub dropped: u64,
-    /// Deepest channel occupancy observed.
+    /// Deepest channel occupancy observed, in frames (a decision row
+    /// counts as one).
     pub max_depth: u64,
     /// Records the recorder thread has handed to the backend — the
     /// stall watchdog's progress counter for the recorder.
     pub drained: u64,
 }
 
+/// One channel message. A producer's whole batch of frames (one socket
+/// read, say) travels as one message, so the channel lock, the copy
+/// and any wake-up are paid per batch, not per frame.
 enum Msg {
-    Frame(Vec<u8>),
+    /// Frames laid end to end in `bytes`; frame `i` ends at `ends[i]`
+    /// and starts where frame `i - 1` ended.
+    Frames {
+        bytes: Vec<u8>,
+        ends: Vec<usize>,
+    },
     Row(String),
+}
+
+impl Msg {
+    /// Records in the message: what capacity and depth count.
+    fn records(&self) -> usize {
+        match self {
+            Msg::Frames { ends, .. } => ends.len(),
+            Msg::Row(_) => 1,
+        }
+    }
+}
+
+fn records_in(msgs: &VecDeque<Msg>) -> u64 {
+    msgs.iter().map(|m| m.records() as u64).sum()
 }
 
 #[derive(Default)]
 struct ChannelInner {
     q: VecDeque<Msg>,
+    /// Records queued across `q` (the capacity unit).
+    queued: usize,
     closed: bool,
+    /// Whether the recorder thread is parked on `not_empty`.
+    consumer_parked: bool,
+    /// Producers parked on `not_full`.
+    parked_producers: usize,
 }
 
 /// The bounded MPSC channel between producers and the recorder thread.
 /// Counters live outside the mutex so [`RecorderHandle::stats`] never
-/// contends with the hot path.
+/// contends with the hot path. Each side signals the other only when
+/// it is registered as parked: an unconditional `Condvar::notify_*`
+/// costs a futex syscall even with nobody waiting.
 struct Channel {
     inner: Mutex<ChannelInner>,
     not_empty: Condvar,
@@ -142,46 +182,59 @@ impl Channel {
 
     /// Enqueues one message. Returns `false` when the message was
     /// dropped (DropNewest overflow, or the channel closed because the
-    /// backend failed). `block` forces the lossless path regardless of
-    /// the frame policy (decision rows use this).
+    /// backend failed); every record in it then counts as dropped.
+    /// `block` forces the lossless path regardless of the frame policy
+    /// (decision rows use this).
     fn push(&self, msg: Msg, policy: RecordPolicy, block: bool) -> bool {
+        let n = msg.records();
+        let fits = |inner: &ChannelInner| inner.queued == 0 || inner.queued + n <= self.capacity;
         let mut inner = self.lock_recovered();
-        if !block && policy == RecordPolicy::DropNewest && inner.q.len() >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        if !block && policy == RecordPolicy::DropNewest && !fits(&inner) {
+            self.dropped.fetch_add(n as u64, Ordering::Relaxed);
             return false;
         }
-        while inner.q.len() >= self.capacity && !inner.closed {
-            // lint: hot-path -- lossless-policy backpressure: the producer parks until the backend drains (woken by pop/close)
+        while !fits(&inner) && !inner.closed {
+            inner.parked_producers += 1;
+            // lint: hot-path -- lossless-policy backpressure: the producer parks until the backend drains (woken by pop_all/close)
             inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner.parked_producers -= 1;
         }
         if inner.closed {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.fetch_add(n as u64, Ordering::Relaxed);
             return false;
         }
         inner.q.push_back(msg);
+        inner.queued += n;
         self.max_depth
-            .fetch_max(inner.q.len() as u64, Ordering::Relaxed);
+            .fetch_max(inner.queued as u64, Ordering::Relaxed);
+        let wake = inner.consumer_parked;
         drop(inner);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         true
     }
 
-    /// Dequeues the oldest message, calling `on_idle` once whenever
-    /// the queue transitions to empty while still open (so the backend
-    /// can flush between bursts). Returns `None` once closed and
-    /// drained.
-    fn pop(&self, on_idle: &mut dyn FnMut()) -> Option<Msg> {
+    /// Swaps the whole backlog into `backlog` (which must be empty),
+    /// calling `on_idle` once whenever the channel is found empty while
+    /// still open (so the backend can flush between bursts). Returns
+    /// `false` once closed and drained.
+    fn pop_all(&self, backlog: &mut VecDeque<Msg>, on_idle: &mut dyn FnMut()) -> bool {
         let mut idled = false;
         let mut inner = self.lock_recovered();
         loop {
-            if let Some(msg) = inner.q.pop_front() {
+            if !inner.q.is_empty() {
+                std::mem::swap(&mut inner.q, backlog);
+                inner.queued = 0;
+                let wake = inner.parked_producers > 0;
                 drop(inner);
-                self.drained.fetch_add(1, Ordering::Relaxed);
-                self.not_full.notify_one();
-                return Some(msg);
+                if wake {
+                    self.not_full.notify_all();
+                }
+                return true;
             }
             if inner.closed {
-                return None;
+                return false;
             }
             if !idled {
                 // Flush outside the lock: producers keep enqueueing.
@@ -191,10 +244,12 @@ impl Channel {
                 inner = self.lock_recovered();
                 continue;
             }
+            inner.consumer_parked = true;
             inner = self
                 .not_empty
                 .wait(inner) // lint: hot-path -- drain loop idles until a producer enqueues (woken by push/close)
                 .unwrap_or_else(|e| e.into_inner());
+            inner.consumer_parked = false;
         }
     }
 
@@ -213,8 +268,9 @@ impl Channel {
         let mut inner = self.lock_recovered();
         inner.closed = true;
         self.dropped
-            .fetch_add(inner.q.len() as u64, Ordering::Relaxed);
+            .fetch_add(records_in(&inner.q), Ordering::Relaxed);
         inner.q.clear();
+        inner.queued = 0;
         drop(inner);
         self.not_empty.notify_all();
         self.not_full.notify_all();
@@ -238,15 +294,41 @@ pub struct RecorderHandle {
 }
 
 impl RecorderHandle {
-    /// Submits one wire-encoded observation frame. Returns `false`
-    /// when the frame was dropped (overflow under
+    /// Submits one wire-encoded observation frame: the one-frame case
+    /// of [`record_frames`](Self::record_frames). Returns `false` when
+    /// the frame was dropped (overflow under
     /// [`RecordPolicy::DropNewest`], or backend failure).
     pub fn record_frame(&self, bytes: &[u8]) -> bool {
-        let ok = self
-            .chan
-            .push(Msg::Frame(bytes.to_vec()), self.policy, false);
+        self.record_frames(bytes, &[bytes.len()])
+    }
+
+    /// Submits a batch of wire-encoded observation frames laid end to
+    /// end in `bytes`, frame `i` ending at offset `ends[i]`, as one
+    /// channel message. The batch is accepted or dropped whole: under
+    /// [`RecordPolicy::DropNewest`] a batch that does not fit is
+    /// refused and every frame in it counts as dropped. Returns `false`
+    /// when the batch was dropped, or when `ends` is not a
+    /// non-decreasing list of offsets within `bytes` (nothing is
+    /// recorded then).
+    pub fn record_frames(&self, bytes: &[u8], ends: &[usize]) -> bool {
+        let mut prev = 0;
+        let well_formed = ends.iter().all(|&end| {
+            let ok = prev <= end && end <= bytes.len();
+            prev = end;
+            ok
+        });
+        if !well_formed {
+            return false;
+        }
+        let msg = Msg::Frames {
+            bytes: bytes.get(..prev).unwrap_or_default().to_vec(),
+            ends: ends.to_vec(),
+        };
+        let ok = self.chan.push(msg, self.policy, false);
         if ok {
-            self.chan.frames.fetch_add(1, Ordering::Relaxed);
+            self.chan
+                .frames
+                .fetch_add(ends.len() as u64, Ordering::Relaxed);
         }
         ok
     }
@@ -273,11 +355,11 @@ impl RecorderHandle {
         }
     }
 
-    /// Current channel occupancy — the recorder backlog gauge. Takes
-    /// the channel lock, so it belongs on monitoring paths, not the
-    /// frame path.
+    /// Current channel occupancy in frames — the recorder backlog
+    /// gauge. Takes the channel lock, so it belongs on monitoring
+    /// paths, not the frame path.
     pub fn depth(&self) -> usize {
-        self.chan.lock_recovered().q.len()
+        self.chan.lock_recovered().queued
     }
 }
 
@@ -346,39 +428,66 @@ impl<B: RecordBackend + 'static> Drop for Recorder<B> {
 }
 
 fn run_backend<B: RecordBackend>(mut backend: B, chan: &Channel) -> io::Result<B::Output> {
-    let result = loop {
+    let mut backlog = VecDeque::new();
+    let failure = loop {
         let mut idle_err = None;
-        let msg = chan.pop(&mut || {
+        let open = chan.pop_all(&mut backlog, &mut || {
             if let Err(e) = backend.idle() {
                 idle_err = Some(e);
             }
         });
         if let Some(e) = idle_err {
-            break Err(e);
+            break (e, 0);
         }
-        match msg {
-            Some(Msg::Frame(bytes)) => {
-                if let Err(e) = backend.record_frame(&bytes) {
-                    break Err(e);
-                }
-            }
-            Some(Msg::Row(row)) => {
-                if let Err(e) = backend.record_row(&row) {
-                    break Err(e);
-                }
-            }
-            None => break Ok(()),
+        if !open {
+            return backend.finish();
+        }
+        if let Err(failed) = write_backlog(&mut backend, &mut backlog, chan) {
+            break failed;
         }
     };
-    match result {
-        Ok(()) => backend.finish(),
-        Err(e) => {
-            // Unblock producers before surfacing the failure; their
-            // frames count as dropped from here on.
-            chan.poison();
-            Err(e)
+    // The failed record, the rest of its message and the rest of the
+    // backlog in hand were accepted but will never be written: count
+    // them dropped, then unblock producers before surfacing the
+    // failure (their records count as dropped from here on).
+    let (err, unwritten) = failure;
+    chan.dropped
+        .fetch_add(unwritten + records_in(&backlog), Ordering::Relaxed);
+    chan.poison();
+    Err(err)
+}
+
+/// Hands every message of `backlog` to the backend, oldest first.
+/// On a backend error returns it together with the number of records
+/// of the failing message left unwritten (the failed one included);
+/// the messages after it stay in `backlog`.
+fn write_backlog<B: RecordBackend>(
+    backend: &mut B,
+    backlog: &mut VecDeque<Msg>,
+    chan: &Channel,
+) -> Result<(), (io::Error, u64)> {
+    while let Some(msg) = backlog.pop_front() {
+        let n = msg.records() as u64;
+        match msg {
+            Msg::Frames { bytes, ends } => {
+                let mut start = 0;
+                for (i, &end) in ends.iter().enumerate() {
+                    let frame = bytes.get(start..end).unwrap_or_default();
+                    if let Err(e) = backend.record_frame(frame) {
+                        return Err((e, (ends.len() - i) as u64));
+                    }
+                    start = end;
+                }
+            }
+            Msg::Row(row) => {
+                if let Err(e) = backend.record_row(&row) {
+                    return Err((e, 1));
+                }
+            }
         }
+        chan.drained.fetch_add(n, Ordering::Relaxed);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -387,11 +496,13 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     /// Collects everything in memory; optionally fails after N frames.
+    /// `written` counts frames written, readable after a failed finish.
     struct MemBackend {
         frames: Vec<Vec<u8>>,
         rows: Vec<String>,
         idles: u64,
         fail_after: Option<usize>,
+        written: Arc<AtomicU64>,
     }
 
     impl MemBackend {
@@ -401,6 +512,7 @@ mod tests {
                 rows: Vec::new(),
                 idles: 0,
                 fail_after: None,
+                written: Arc::new(AtomicU64::new(0)),
             }
         }
     }
@@ -413,6 +525,7 @@ mod tests {
                 return Err(io::Error::other("backend full"));
             }
             self.frames.push(bytes.to_vec());
+            self.written.fetch_add(1, Ordering::Relaxed);
             Ok(())
         }
 
@@ -510,6 +623,7 @@ mod tests {
     fn backend_failure_poisons_without_deadlock() {
         let mut backend = MemBackend::new();
         backend.fail_after = Some(3);
+        let written = Arc::clone(&backend.written);
         let rec = Recorder::spawn(
             backend,
             RecordingConfig {
@@ -528,7 +642,165 @@ mod tests {
         assert!(!all_accepted, "pushes after the failure are refused");
         let err = rec.finish().expect_err("backend failed");
         assert!(err.to_string().contains("backend full"));
-        assert!(h.stats().dropped > 0);
+        let stats = h.stats();
+        assert!(stats.dropped > 0);
+        // Every offered frame was written or counted dropped — the one
+        // the backend failed on included.
+        assert_eq!(written.load(Ordering::Relaxed), 3);
+        assert_eq!(written.load(Ordering::Relaxed) + stats.dropped, 64);
+    }
+
+    #[test]
+    fn backend_failure_mid_batch_drops_the_rest_of_the_backlog() {
+        let mut backend = MemBackend::new();
+        backend.fail_after = Some(5);
+        let written = Arc::clone(&backend.written);
+        let rec = Recorder::spawn(
+            backend,
+            RecordingConfig {
+                capacity: 64,
+                policy: RecordPolicy::Block,
+            },
+        )
+        .expect("spawn");
+        let h = rec.handle();
+        let bytes: Vec<u8> = (0..8u8).collect();
+        let ends: Vec<usize> = (1..=8).collect();
+        let mut offered = 0u64;
+        for _ in 0..8 {
+            h.record_frames(&bytes, &ends);
+            offered += 8;
+        }
+        assert!(rec.finish().is_err());
+        let stats = h.stats();
+        assert_eq!(written.load(Ordering::Relaxed), 5);
+        assert_eq!(written.load(Ordering::Relaxed) + stats.dropped, offered);
+    }
+
+    #[test]
+    fn batches_arrive_as_frames_in_order() {
+        let rec = Recorder::spawn(
+            MemBackend::new(),
+            RecordingConfig {
+                capacity: 4,
+                policy: RecordPolicy::Block,
+            },
+        )
+        .expect("spawn");
+        let h = rec.handle();
+        // Three frames of lengths 1, 0 and 2 in one message, then a
+        // batch bigger than the whole capacity (admitted into an empty
+        // channel), then malformed offsets (refused, nothing recorded).
+        assert!(h.record_frames(&[1, 2, 3], &[1, 1, 3]));
+        assert!(h.record_frames(&[9; 6], &[1, 2, 3, 4, 5, 6]));
+        assert!(!h.record_frames(&[1, 2], &[2, 1]));
+        assert!(!h.record_frames(&[1, 2], &[3]));
+        let ((frames, _, _), stats) = rec.finish().expect("finish");
+        assert_eq!(frames.len(), 9);
+        assert_eq!(&frames[..3], &[vec![1], vec![], vec![2, 3]]);
+        assert!(frames[3..].iter().all(|f| f == &[9]));
+        assert_eq!((stats.frames, stats.drained, stats.dropped), (9, 9, 0));
+        assert!(stats.max_depth <= 6);
+    }
+
+    #[test]
+    fn drop_newest_counts_every_frame_of_a_refused_batch() {
+        // The backend holds the first frame until released, so the
+        // channel's occupancy is known exactly when the batches arrive.
+        struct Held(Arc<AtomicBool>, Arc<AtomicBool>, u64);
+        impl RecordBackend for Held {
+            type Output = u64;
+            fn record_frame(&mut self, _bytes: &[u8]) -> io::Result<()> {
+                self.1.store(true, Ordering::Release);
+                while !self.0.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                self.2 += 1;
+                Ok(())
+            }
+            fn record_row(&mut self, _row: &str) -> io::Result<()> {
+                Ok(())
+            }
+            fn finish(self) -> io::Result<u64> {
+                Ok(self.2)
+            }
+        }
+        let (gate, entered) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let rec = Recorder::spawn(
+            Held(Arc::clone(&gate), Arc::clone(&entered), 0),
+            RecordingConfig {
+                capacity: 8,
+                policy: RecordPolicy::DropNewest,
+            },
+        )
+        .expect("spawn");
+        let h = rec.handle();
+        assert!(h.record_frame(&[0]));
+        while !entered.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        // The channel is empty again (the backend holds frame 0): five
+        // frames fit, the next batch of five would make ten > 8 and is
+        // refused whole, three more fit exactly.
+        let five: Vec<usize> = (1..=5).collect();
+        assert!(h.record_frames(&[7; 5], &five));
+        assert!(!h.record_frames(&[7; 5], &five));
+        assert!(h.record_frames(&[7; 3], &[1, 2, 3]));
+        assert_eq!(h.depth(), 8);
+        gate.store(true, Ordering::Release);
+        let (written, stats) = rec.finish().expect("finish");
+        assert_eq!((stats.frames, stats.dropped, written), (9, 5, 9));
+        assert_eq!(stats.frames + stats.dropped, 14);
+        assert_eq!(stats.max_depth, 8);
+    }
+
+    #[test]
+    fn batched_block_stress_is_lossless_and_ordered() {
+        use std::sync::mpsc;
+        const ROUNDS: u32 = 3000;
+        for capacity in 1..=4usize {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let rec = Recorder::spawn(
+                    MemBackend::new(),
+                    RecordingConfig {
+                        capacity,
+                        policy: RecordPolicy::Block,
+                    },
+                )
+                .expect("spawn");
+                let h = rec.handle();
+                let mut rng = mobisense_util::DetRng::seed_from_u64(capacity as u64);
+                let mut next = 0u32;
+                for _ in 0..ROUNDS {
+                    let n = 1 + rng.index(2 * capacity + 2);
+                    let mut bytes = Vec::new();
+                    let mut ends = Vec::new();
+                    for _ in 0..n {
+                        bytes.extend_from_slice(&next.to_le_bytes());
+                        ends.push(bytes.len());
+                        next += 1;
+                    }
+                    assert!(h.record_frames(&bytes, &ends));
+                }
+                let _ = tx.send((next, rec.finish().expect("finish")));
+            });
+            let (offered, ((frames, _, _), stats)) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("stress run timed out: lost wake-up");
+            assert_eq!(frames.len() as u32, offered, "capacity {capacity}");
+            for (i, f) in frames.iter().enumerate() {
+                assert_eq!(f.as_slice(), &(i as u32).to_le_bytes());
+            }
+            assert_eq!(
+                (stats.frames, stats.drained, stats.dropped),
+                (offered as u64, offered as u64, 0)
+            );
+            assert!(stats.max_depth as usize <= (2 * capacity + 2).max(capacity));
+        }
     }
 
     #[test]

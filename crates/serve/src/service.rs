@@ -542,88 +542,91 @@ fn run_worker(
         session_events: Vec::new(),
     };
     let warmup = cfg.pipeline.warmup;
-    while let Some((item, depth)) = queue.pop() {
-        let (mut ticket, frame) = match item {
-            WorkItem::Frame(ticket, frame) => (ticket, frame),
-            WorkItem::Migrate { client_id, reply } => {
-                let parcel = ws.extract_parcel(client_id);
-                // lint: error-swallow -- a dropped receiver means the engine is already finishing; the parcel has nowhere to go
-                let _ = reply.send(parcel);
-                ws.publish_gauges();
-                continue;
+    let mut batch = Vec::new();
+    while queue.pop_batch(&mut batch) {
+        for (item, depth) in batch.drain(..) {
+            let (mut ticket, frame) = match item {
+                WorkItem::Frame(ticket, frame) => (ticket, frame),
+                WorkItem::Migrate { client_id, reply } => {
+                    let parcel = ws.extract_parcel(client_id);
+                    // lint: error-swallow -- a dropped receiver means the engine is already finishing; the parcel has nowhere to go
+                    let _ = reply.send(parcel);
+                    continue;
+                }
+                WorkItem::Adopt(parcel) => {
+                    ws.adopt(*parcel);
+                    continue;
+                }
+            };
+            if let Some(trace) = ticket.trace.as_mut() {
+                trace.mark(Stage::Dequeue);
             }
-            WorkItem::Adopt(parcel) => {
-                ws.adopt(*parcel);
-                ws.publish_gauges();
-                continue;
-            }
-        };
-        if let Some(trace) = ticket.trace.as_mut() {
-            trace.mark(Stage::Dequeue);
-        }
-        out.depth.observe(depth as f64);
-        out.frames += 1;
-        out.last_at = out.last_at.max(frame.at);
-        ws.fault_in_if_hibernated(frame.client_id, frame.at, &mut out);
-        let state = ws
-            .map
-            .entry(frame.client_id)
-            .or_insert_with(|| ClientState {
-                session: PipelineSession::new(
-                    cfg.pipeline.clone(),
-                    cfg.session_seed_for(frame.client_id),
-                ),
-                last_emitted: None,
-                last_at: 0,
-                bytes: 0,
-            });
-        let decided = state.session.observe_profile_with(
-            frame.at,
-            frame.profile(),
-            frame.distance_m,
-            &mut NoopSink,
-        );
-        if let Some(trace) = ticket.trace.as_mut() {
-            trace.mark(Stage::Classify);
-        }
-        if let Some(c) = decided {
-            if frame.at >= warmup && state.last_emitted != Some(c) {
-                state.last_emitted = Some(c);
-                out.decisions.push(ServeDecision {
-                    client_id: frame.client_id,
-                    seq: frame.seq,
-                    at: frame.at,
-                    classification: c,
-                    policy: MobilityPolicy::for_classification(c),
+            out.depth.observe(depth as f64);
+            out.frames += 1;
+            out.last_at = out.last_at.max(frame.at);
+            ws.fault_in_if_hibernated(frame.client_id, frame.at, &mut out);
+            let state = ws
+                .map
+                .entry(frame.client_id)
+                .or_insert_with(|| ClientState {
+                    session: PipelineSession::new(
+                        cfg.pipeline.clone(),
+                        cfg.session_seed_for(frame.client_id),
+                    ),
+                    last_emitted: None,
+                    last_at: 0,
+                    bytes: 0,
                 });
+            let decided = state.session.observe_profile_with(
+                frame.at,
+                frame.profile(),
+                frame.distance_m,
+                &mut NoopSink,
+            );
+            if let Some(trace) = ticket.trace.as_mut() {
+                trace.mark(Stage::Classify);
             }
-        }
-        state.last_at = frame.at;
-        // Re-measure the session's footprint (O(1): sizes, not walks)
-        // and keep the running resident-bytes ledger exact.
-        let now_bytes = state.session.approx_bytes();
-        ws.resident_bytes = ws.resident_bytes - state.bytes as u64 + now_bytes as u64;
-        state.bytes = now_bytes;
-        ws.manager.touch(frame.client_id, frame.at);
-        if let Some(trace) = ticket.trace.as_mut() {
-            // One clock read stamps the `Decide` span and, when the
-            // classifier emitted, the end-to-end decision latency — the
-            // traced path pays no read the untraced path doesn't.
-            // lint: determinism -- wall-clock latency telemetry only, never decisions
-            let now = Instant::now();
-            trace.mark_at(Stage::Decide, now);
-            out.stages.observe_trace(trace);
-            if decided.is_some() {
+            if let Some(c) = decided {
+                if frame.at >= warmup && state.last_emitted != Some(c) {
+                    state.last_emitted = Some(c);
+                    out.decisions.push(ServeDecision {
+                        client_id: frame.client_id,
+                        seq: frame.seq,
+                        at: frame.at,
+                        classification: c,
+                        policy: MobilityPolicy::for_classification(c),
+                    });
+                }
+            }
+            state.last_at = frame.at;
+            // Re-measure the session's footprint (O(1): sizes, not walks)
+            // and keep the running resident-bytes ledger exact.
+            let now_bytes = state.session.approx_bytes();
+            ws.resident_bytes = ws.resident_bytes - state.bytes as u64 + now_bytes as u64;
+            state.bytes = now_bytes;
+            ws.manager.touch(frame.client_id, frame.at);
+            if let Some(trace) = ticket.trace.as_mut() {
+                // One clock read stamps the `Decide` span and, when the
+                // classifier emitted, the end-to-end decision latency — the
+                // traced path pays no read the untraced path doesn't.
+                // lint: determinism -- wall-clock latency telemetry only, never decisions
+                let now = Instant::now();
+                trace.mark_at(Stage::Decide, now);
+                out.stages.observe_trace(trace);
+                if decided.is_some() {
+                    out.latency_ns
+                        .observe(now.saturating_duration_since(ticket.ingested).as_nanos() as f64);
+                }
+            } else if decided.is_some() {
                 out.latency_ns
-                    .observe(now.saturating_duration_since(ticket.ingested).as_nanos() as f64);
+                    .observe(ticket.ingested.elapsed().as_nanos() as f64);
             }
-        } else if decided.is_some() {
-            out.latency_ns
-                .observe(ticket.ingested.elapsed().as_nanos() as f64);
+            // Retirement runs on the sim clock of the frame just served, so
+            // victim choice replays identically run over run.
+            ws.retire_victims(frame.at, &mut out);
         }
-        // Retirement runs on the sim clock of the frame just served, so
-        // victim choice replays identically run over run.
-        ws.retire_victims(frame.at, &mut out);
+        // One gauge publication per popped batch: the residency
+        // picture is read by the ops monitor at a 100 ms cadence.
         ws.publish_gauges();
     }
     let stats = ws.manager.stats();
@@ -789,6 +792,11 @@ impl ShardEngine {
     /// unless a migration moved it.
     pub fn route_of(&self, client_id: u32) -> usize {
         let routes = self.routes.read().unwrap_or_else(|e| e.into_inner());
+        self.route_in(&routes, client_id)
+    }
+
+    /// A client's shard under an already-read `routes` table.
+    fn route_in(&self, routes: &BTreeMap<u32, usize>, client_id: u32) -> usize {
         routes
             .get(&client_id)
             .copied()
@@ -796,11 +804,42 @@ impl ShardEngine {
     }
 
     /// Routes one decoded frame to its shard's queue under the engine's
-    /// overflow policy. Returns the number of frames shed to make room
-    /// (always 0 under [`OverflowPolicy::Block`]).
+    /// overflow policy: the one-frame case of
+    /// [`submit_batch`](Self::submit_batch). Returns the number of
+    /// frames shed to make room (always 0 under
+    /// [`OverflowPolicy::Block`]).
     pub fn submit(&self, ticket: Ticket, frame: ObsFrame) -> u64 {
         let shard = self.route_of(frame.client_id);
         self.queues[shard].push(WorkItem::frame(ticket, frame), self.overflow)
+    }
+
+    /// Routes a batch of decoded frames (typically one socket read's
+    /// worth) with one `routes` read, then hands each shard its share
+    /// as one [`ShardQueue::push_batch`]. Every frame carries a copy of
+    /// `ticket`. Frames keep their relative order within a shard, so
+    /// per-client order is exactly the submission order. Returns the
+    /// number of frames shed to make room (always 0 under
+    /// [`OverflowPolicy::Block`]).
+    pub fn submit_batch<I>(&self, ticket: Ticket, frames: I) -> u64
+    where
+        I: IntoIterator<Item = ObsFrame>,
+    {
+        let mut by_shard: Vec<Vec<WorkItem>> = self.queues.iter().map(|_| Vec::new()).collect();
+        {
+            let routes = self.routes.read().unwrap_or_else(|e| e.into_inner());
+            for frame in frames {
+                let shard = self.route_in(&routes, frame.client_id);
+                if let Some(items) = by_shard.get_mut(shard) {
+                    items.push(WorkItem::frame(ticket, frame));
+                }
+            }
+        }
+        by_shard
+            .into_iter()
+            .zip(&self.queues)
+            .filter(|(items, _)| !items.is_empty())
+            .map(|(items, q)| q.push_batch(items, self.overflow))
+            .sum()
     }
 
     /// Live-migrates one client's session to `to_shard`:

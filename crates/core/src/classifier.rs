@@ -83,7 +83,7 @@ impl std::fmt::Display for Classification {
 }
 
 /// Serializable dynamic state of a [`MobilityClassifier`], produced by
-/// [`MobilityClassifier::export_state`]. Plain data: the session
+/// [`MobilityClassifier::into_state`]. Plain data: the session
 /// snapshot codec owns the byte-level encoding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClassifierState {
@@ -262,14 +262,14 @@ impl MobilityClassifier {
         }
     }
 
-    /// Exports the classifier's complete dynamic state for session
+    /// Moves the classifier's complete dynamic state out for session
     /// hibernation. Round-trips through [`from_state`](Self::from_state):
     /// a restored classifier makes bit-identical decisions from the saved
     /// point on.
-    pub fn export_state(&self) -> ClassifierState {
+    pub fn into_state(self) -> ClassifierState {
         ClassifierState {
-            similarity: self.similarity.export_state(),
-            trend_samples: self.trend.samples(),
+            similarity: self.similarity.into_state(),
+            trend_samples: self.trend.into_samples(),
             tof_active: self.tof_active,
             current: self.current,
             decisions: self.decisions,
@@ -277,7 +277,7 @@ impl MobilityClassifier {
         }
     }
 
-    /// Reconstructs a classifier from [`export_state`](Self::export_state)
+    /// Reconstructs a classifier from [`into_state`](Self::into_state)
     /// output under the given configuration. Panics only on the same
     /// configuration invariant as [`new`](Self::new).
     pub fn from_state(cfg: ClassifierConfig, state: ClassifierState) -> Self {

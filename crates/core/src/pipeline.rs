@@ -154,21 +154,31 @@ impl PipelineSession {
         self.classifier.on_frame_profile_with(at, profile, sink)
     }
 
-    /// Exports the session's complete dynamic state (classifier +
-    /// ToF sampler, configs excluded — those travel separately) for
-    /// hibernation or shard migration. The invariant the serving layer's
-    /// golden-replay tests pin: `PipelineSession::restore(cfg,
-    /// s.snapshot())` continues the decision stream bit-identically to
-    /// `s` itself — hibernate→restore ≡ never-hibernated.
-    pub fn snapshot(&self) -> SessionState {
+    /// Moves the session's complete dynamic state (classifier + ToF
+    /// sampler, configs excluded — those travel separately) out for
+    /// hibernation or shard migration, which drop the session anyway:
+    /// the window buffers change owner instead of being copied. The
+    /// invariant the serving layer's golden-replay tests pin:
+    /// `PipelineSession::restore(cfg, s.into_state())` continues the
+    /// decision stream bit-identically to `s` itself —
+    /// hibernate→restore ≡ never-hibernated.
+    pub fn into_state(self) -> SessionState {
         SessionState {
-            classifier: self.classifier.export_state(),
-            tof: self.tof.export_state(),
+            classifier: self.classifier.into_state(),
+            tof: self.tof.into_state(),
         }
     }
 
-    /// Reconstructs a session from [`snapshot`](Self::snapshot) output
-    /// under the given configuration.
+    /// The session's state without giving the session up:
+    /// [`into_state`](Self::into_state) of a clone, so there is one
+    /// extraction path.
+    pub fn snapshot(&self) -> SessionState {
+        self.clone().into_state()
+    }
+
+    /// Reconstructs a session from [`into_state`](Self::into_state) (or
+    /// [`snapshot`](Self::snapshot)) output under the given
+    /// configuration.
     pub fn restore(cfg: PipelineConfig, state: SessionState) -> Self {
         PipelineSession {
             classifier: MobilityClassifier::from_state(cfg.classifier.clone(), state.classifier),
@@ -197,7 +207,7 @@ impl PipelineSession {
 }
 
 /// Serializable dynamic state of a [`PipelineSession`], produced by
-/// [`PipelineSession::snapshot`]. Plain data — the `mobisense-session`
+/// [`PipelineSession::into_state`]. Plain data — the `mobisense-session`
 /// crate owns the versioned byte-level encoding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionState {
@@ -377,7 +387,7 @@ impl std::fmt::Display for Confusion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioKind;
+    use crate::scenario::{Observation, ScenarioKind};
     use mobisense_mobility::movers::EnvIntensity;
     use mobisense_mobility::Direction;
 
@@ -651,6 +661,50 @@ mod tests {
             let tail_b = continue_session(&mut restored, &mut sc_b, next, 25 * SECOND);
             assert!(!tail_a.is_empty());
             assert_eq!(tail_a, tail_b, "{kind:?}: restored session diverged");
+        }
+    }
+
+    #[test]
+    fn into_state_equals_snapshot_and_both_restore_identically() {
+        // At random cut points of one stream: moving the state out
+        // equals copying it, and a session restored from either
+        // continues exactly like the uninterrupted session.
+        let cfg = PipelineConfig::default();
+        let mut sc = Scenario::new(ScenarioKind::MacroAway, 41);
+        let step = cfg.step;
+        let obs: Vec<(Nanos, Observation)> = (0..800u64)
+            .map(|i| (i * step, sc.observe(i * step)))
+            .collect();
+        let run = |session: &mut PipelineSession, from: usize| -> Vec<(Nanos, Classification)> {
+            obs[from..]
+                .iter()
+                .filter_map(|(t, o)| Some((*t, session.observe(*t, &o.csi, o.distance_m)?)))
+                .collect()
+        };
+        let mut rng = mobisense_util::rng::DetRng::seed_from_u64(41);
+        let mut cuts: Vec<usize> = (0..6).map(|_| 1 + rng.index(obs.len() - 1)).collect();
+        cuts.sort_unstable();
+        let mut original = PipelineSession::new(cfg.clone(), 41);
+        let (mut done, mut checked) = (0, 0);
+        for cut in cuts {
+            run_range(&mut original, &obs[done..cut]);
+            done = cut;
+            let copied = original.snapshot();
+            let moved = original.clone().into_state();
+            assert_eq!(moved, copied, "cut {cut}: moved state differs from copy");
+            let mut from_moved = PipelineSession::restore(cfg.clone(), moved);
+            let mut from_copied = PipelineSession::restore(cfg.clone(), copied);
+            let expected = run(&mut original.clone(), cut);
+            assert_eq!(run(&mut from_moved, cut), expected, "cut {cut}");
+            assert_eq!(run(&mut from_copied, cut), expected, "cut {cut}");
+            checked += expected.len();
+        }
+        assert!(checked > 0, "no decision followed any cut");
+    }
+
+    fn run_range(session: &mut PipelineSession, obs: &[(Nanos, Observation)]) {
+        for (t, o) in obs {
+            session.observe(*t, &o.csi, o.distance_m);
         }
     }
 

@@ -20,7 +20,7 @@ const PROFILE_SMOOTHING_WINDOW: Nanos = 50 * mobisense_util::units::MILLISECOND;
 const PROFILE_SMOOTHING_MAX: usize = 4;
 
 /// Serializable dynamic state of a [`SimilarityTracker`], produced by
-/// [`SimilarityTracker::export_state`]. Plain data: the session snapshot
+/// [`SimilarityTracker::into_state`]. Plain data: the session snapshot
 /// codec owns the byte-level encoding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimilarityState {
@@ -146,21 +146,22 @@ impl SimilarityTracker {
         self.avg.current()
     }
 
-    /// Exports the tracker's complete dynamic state for session
-    /// hibernation. Round-trips through [`from_state`](Self::from_state):
-    /// a restored tracker produces bit-identical similarity samples from
+    /// Moves the tracker's complete dynamic state out for session
+    /// hibernation: the profile buffers change owner, nothing is
+    /// copied. Round-trips through [`from_state`](Self::from_state): a
+    /// restored tracker produces bit-identical similarity samples from
     /// the saved point on.
-    pub fn export_state(&self) -> SimilarityState {
+    pub fn into_state(self) -> SimilarityState {
         SimilarityState {
-            recent: self.recent.iter().cloned().collect(),
-            last_profile: self.last_profile.clone(),
+            recent: self.recent.into(),
+            last_profile: self.last_profile,
             next_sample_at: self.next_sample_at,
             last_similarity: self.last_similarity,
-            avg: self.avg.values(),
+            avg: self.avg.into_values(),
         }
     }
 
-    /// Reconstructs a tracker from [`export_state`](Self::export_state)
+    /// Reconstructs a tracker from [`into_state`](Self::into_state)
     /// output. `period` and `window` come from configuration, exactly as
     /// in [`new`](Self::new); excess smoothing profiles or average
     /// samples (from a state saved under larger caps) are trimmed

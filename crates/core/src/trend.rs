@@ -125,9 +125,10 @@ impl TrendDetector {
         self.window.clear();
     }
 
-    /// The window's contents oldest-first, for session snapshots.
-    pub fn samples(&self) -> Vec<f64> {
-        self.window.as_vec()
+    /// The window's contents oldest-first, moved out for session
+    /// snapshots.
+    pub fn into_samples(self) -> Vec<f64> {
+        self.window.into_vec()
     }
 
     /// Reconstructs a detector holding `samples` (oldest-first). Excess

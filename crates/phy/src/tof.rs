@@ -193,22 +193,23 @@ impl TofSampler {
         8 * self.batch.len() + std::mem::size_of::<TofMeasurement>() * self.history.len()
     }
 
-    /// Exports the sampler's complete dynamic state (noise-stream
+    /// Moves the sampler's complete dynamic state (noise-stream
     /// position, schedule anchors, the in-flight batch, and the bounded
-    /// filtered history) for session hibernation. Round-trips through
-    /// [`from_state`](Self::from_state): the restored sampler produces a
-    /// bit-identical measurement stream from the saved point on.
-    pub fn export_state(&self) -> TofSamplerState {
+    /// filtered history) out for session hibernation. Round-trips
+    /// through [`from_state`](Self::from_state): the restored sampler
+    /// produces a bit-identical measurement stream from the saved point
+    /// on.
+    pub fn into_state(self) -> TofSamplerState {
         TofSamplerState {
             rng: self.rng.export_state(),
             next_sample_at: self.next_sample_at,
             period_end: self.period_end,
-            batch: self.batch.samples().to_vec(),
-            history: self.history.clone(),
+            batch: self.batch.into_samples(),
+            history: self.history,
         }
     }
 
-    /// Reconstructs a sampler from [`export_state`](Self::export_state)
+    /// Reconstructs a sampler from [`into_state`](Self::into_state)
     /// output. History beyond `cfg.history_cap` is trimmed oldest-first,
     /// so a state saved under a larger cap restores safely.
     pub fn from_state(cfg: TofConfig, state: TofSamplerState) -> Self {
@@ -233,7 +234,7 @@ impl TofSampler {
 }
 
 /// Serializable dynamic state of a [`TofSampler`], produced by
-/// [`TofSampler::export_state`]. Plain data: the session snapshot codec
+/// [`TofSampler::into_state`]. Plain data: the session snapshot codec
 /// owns the byte-level encoding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TofSamplerState {
@@ -404,9 +405,9 @@ mod tests {
             t += 20 * MILLISECOND;
             a.poll(t, 12.0);
         }
-        let state = a.export_state();
+        let state = a.clone().into_state();
         let mut b = TofSampler::from_state(a.config().clone(), state.clone());
-        assert_eq!(a.export_state(), b.export_state());
+        assert_eq!(b.clone().into_state(), state);
         for _ in 0..500 {
             t += 20 * MILLISECOND;
             let d = 12.0 - (t as f64 / 1e9) * 0.5;
@@ -423,7 +424,7 @@ mod tests {
             t += 20 * MILLISECOND;
             a.poll(t, 9.0);
         }
-        let state = a.export_state();
+        let state = a.into_state();
         let tight = TofConfig {
             history_cap: 3,
             ..TofConfig::default()

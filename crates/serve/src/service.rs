@@ -375,7 +375,9 @@ impl WorkerSessions<'_> {
     /// Retires every victim the manager selects at sim time `now`:
     /// snapshot-and-page-out under [`RetirePolicy::Hibernate`], drop
     /// under [`RetirePolicy::Evict`]. Runs after every processed frame;
-    /// cheap when nobody is due (one ordered-set probe).
+    /// cheap when nobody is due (one ordered-set probe). The retired
+    /// session's state moves into the snapshot, uncopied; the page may
+    /// sit in the pager's buffer until [`end_batch`](Self::end_batch).
     fn retire_victims(&mut self, now: Nanos, out: &mut WorkerResult) {
         if !self.cfg.hibernation.enabled() {
             return;
@@ -391,7 +393,7 @@ impl WorkerSessions<'_> {
                     let snap = SessionSnapshot {
                         client_id: victim,
                         last_emitted: state.last_emitted,
-                        state: state.session.snapshot(),
+                        state: state.session.into_state(),
                     };
                     let bytes = self
                         .manager
@@ -420,7 +422,7 @@ impl WorkerSessions<'_> {
             let snap = SessionSnapshot {
                 client_id: client,
                 last_emitted: state.last_emitted,
-                state: state.session.snapshot(),
+                state: state.session.into_state(),
             };
             let bytes = snap
                 .encode()
@@ -486,9 +488,16 @@ impl WorkerSessions<'_> {
         self.manager.touch(client_id, last_at);
     }
 
-    /// Publishes the current residency picture to the shared gauges
-    /// (absolute stores; this worker is the only writer).
-    fn publish_gauges(&self) {
+    /// Closes one popped batch: flushes the pager, so the batch's
+    /// page-outs reach the store together, then publishes the current
+    /// residency picture to the shared gauges (absolute stores; this
+    /// worker is the only writer). A failed flush panics the worker
+    /// like a failed page-out: the retired sessions are gone from the
+    /// map and their pages may not be stored.
+    fn end_batch(&mut self) {
+        self.pager
+            .flush()
+            .expect("session page-out flush failed: cannot retire without losing state");
         let stats = self.manager.stats();
         self.gauges
             .hot
@@ -625,9 +634,10 @@ fn run_worker(
             // victim choice replays identically run over run.
             ws.retire_victims(frame.at, &mut out);
         }
-        // One gauge publication per popped batch: the residency
+        // One pager flush and one gauge publication per popped batch:
+        // page-outs reach the store in one write, and the residency
         // picture is read by the ops monitor at a 100 ms cadence.
-        ws.publish_gauges();
+        ws.end_batch();
     }
     let stats = ws.manager.stats();
     out.sessions.hibernated = stats.hibernated;

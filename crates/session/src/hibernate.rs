@@ -12,8 +12,9 @@
 //! The manager does not own session state; the worker does. The flow is:
 //!
 //! ```text
-//!   worker tick ──► victims(now) ──► for each: session.snapshot()
+//!   worker tick ──► victims(now) ──► for each: session.into_state()
 //!                                       └─► manager.hibernate(snap, pager)
+//!   end of the worker's batch ──► pager.flush()
 //!   frame for hibernated client ──► manager.fault_in(id, pager)
 //!                                       └─► PipelineSession::restore(...)
 //! ```
@@ -26,24 +27,55 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mobisense_util::units::Nanos;
 
-use crate::codec::{SessionSnapshot, SnapshotError};
+use crate::codec::{EncodedSnapshot, SessionSnapshot, SnapshotError};
 
 /// Where paged-out snapshots live.
 ///
 /// Contract: [`page_in`](SnapshotPager::page_in) returns the bytes most
-/// recently paged out for the client and *consumes* them — a second
-/// `page_in` for the same client yields `Ok(None)` until another
-/// `page_out`. Implementations must hand back byte-identical buffers;
+/// recently stored for the client and *consumes* them — a second
+/// `page_in` for the same client yields `Ok(None)` until another page
+/// is stored. Implementations must hand back byte-identical buffers;
 /// the codec's CRC turns any storage corruption into a typed error at
 /// restore time rather than a divergent session.
+///
+/// Snapshots are checked once, where their bytes come from:
+/// [`store_page`](SnapshotPager::store_page) takes an
+/// [`EncodedSnapshot`], which only the codec or a full decode can make,
+/// and files it under its own client id without looking again.
+/// [`page_out`](SnapshotPager::page_out) is the adapter for raw bytes.
+///
+/// A store may buffer what it writes: a page is durable (as far as the
+/// store promises durability) only after [`flush`](SnapshotPager::flush)
+/// returns. The serving layer's shard worker flushes once per popped
+/// batch, so a crash loses at most the pages of the batch in flight.
 pub trait SnapshotPager {
-    /// Stores the encoded snapshot for `client`, replacing any previous
-    /// one.
-    fn page_out(&mut self, client: u32, bytes: &[u8]) -> Result<(), PageError>;
+    /// Stores the page under its client id, replacing any previous one.
+    fn store_page(&mut self, page: EncodedSnapshot) -> Result<(), PageError>;
 
     /// Retrieves and consumes the stored snapshot for `client`, or
     /// `Ok(None)` when nothing is paged out for it.
     fn page_in(&mut self, client: u32) -> Result<Option<Vec<u8>>, PageError>;
+
+    /// Pushes buffered pages to the backing store. No-op by default
+    /// (a store that does not buffer).
+    fn flush(&mut self) -> Result<(), PageError> {
+        Ok(())
+    }
+
+    /// Stores raw bytes of unknown origin for `client`: decodes them in
+    /// full ([`EncodedSnapshot::validate`]) and checks that they are
+    /// `client`'s snapshot before anything is stored. Refused bytes
+    /// leave the pager unchanged.
+    fn page_out(&mut self, client: u32, bytes: &[u8]) -> Result<(), PageError> {
+        let page = EncodedSnapshot::validate(bytes.to_vec())?;
+        if page.client_id() != client {
+            return Err(PageError::Io(format!(
+                "snapshot for client {} paged out under client {client}",
+                page.client_id()
+            )));
+        }
+        self.store_page(page)
+    }
 }
 
 /// Why paging a session out or in failed.
@@ -110,8 +142,8 @@ impl MemoryPager {
 }
 
 impl SnapshotPager for MemoryPager {
-    fn page_out(&mut self, client: u32, bytes: &[u8]) -> Result<(), PageError> {
-        self.pages.insert(client, bytes.to_vec());
+    fn store_page(&mut self, page: EncodedSnapshot) -> Result<(), PageError> {
+        self.pages.insert(page.client_id(), page.into_bytes());
         Ok(())
     }
 
@@ -263,21 +295,22 @@ impl HibernationManager {
         out
     }
 
-    /// Pages the session's snapshot out and moves the client from the
-    /// hot set to the hibernated set. Returns the encoded size. On
-    /// error nothing changes: the client stays hot and the worker keeps
-    /// its session.
+    /// Encodes the session's snapshot, hands the page to the pager and
+    /// moves the client from the hot set to the hibernated set. Returns
+    /// the encoded size. On error the manager's books do not change:
+    /// the client stays hot.
     pub fn hibernate(
         &mut self,
         snap: &SessionSnapshot,
         pager: &mut dyn SnapshotPager,
     ) -> Result<usize, PageError> {
-        let bytes = snap.encode()?;
-        pager.page_out(snap.client_id, &bytes)?;
+        let page = EncodedSnapshot::encode(snap)?;
+        let len = page.as_bytes().len();
+        pager.store_page(page)?;
         self.drop_hot(snap.client_id);
         self.hibernated.insert(snap.client_id);
         self.stats.hibernated += 1;
-        Ok(bytes.len())
+        Ok(len)
     }
 
     /// Drops a client from the hot set without a snapshot (the
@@ -463,14 +496,29 @@ mod tests {
         let mut pager = MemoryPager::new();
         mgr.touch(6, 0);
         mgr.hibernate(&snap_for(6), &mut pager).expect("pages out");
-        // Flip a body bit behind the manager's back.
-        let mut bytes = pager.page_in(6).expect("drains").expect("present");
+        // Flip a body bit behind the manager's back, in storage (the
+        // pager's own entry points refuse corrupt bytes).
+        let bytes = pager.pages.get_mut(&6).expect("present");
         bytes[20] ^= 0x10;
-        pager.page_out(6, &bytes).expect("re-pages");
         assert!(matches!(
             mgr.fault_in(6, &mut pager),
             Err(PageError::Codec(SnapshotError::BadCrc { .. }))
         ));
+    }
+
+    #[test]
+    fn raw_page_out_validates_before_storing() {
+        let mut pager = MemoryPager::new();
+        let bytes = snap_for(3).encode().expect("encodes");
+        assert!(matches!(
+            pager.page_out(3, b"not a snapshot"),
+            Err(PageError::Codec(_))
+        ));
+        assert!(matches!(pager.page_out(4, &bytes), Err(PageError::Io(_))));
+        assert!(pager.is_empty(), "refused pages are not stored");
+        pager.page_out(3, &bytes).expect("valid page");
+        assert_eq!(pager.flush(), Ok(()));
+        assert_eq!(pager.page_in(3), Ok(Some(bytes)));
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //!   prefix, CRC-32 seal over header + body, total parser with typed
 //!   [`codec::SnapshotError`]s. Any single bit flip or truncation is
 //!   detected; there is no silently divergent restore.
+//!   [`codec::EncodedSnapshot`] is an encoding known to decode: the
+//!   page type pagers and the trace store take without re-checking.
 //! * [`hibernate`] — [`hibernate::HibernationManager`]: deterministic
 //!   idle/LRU victim selection over a [`hibernate::SnapshotPager`]
 //!   backend (in-memory here; the trace store implements the trait in
@@ -40,7 +42,7 @@
 pub mod codec;
 pub mod hibernate;
 
-pub use codec::{SessionSnapshot, SnapshotError};
+pub use codec::{EncodedSnapshot, SessionSnapshot, SnapshotError};
 pub use hibernate::{
     HibernationConfig, HibernationManager, HibernationStats, MemoryPager, PageError, RetirePolicy,
     SnapshotPager,

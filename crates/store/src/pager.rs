@@ -24,17 +24,30 @@
 //!   stops being the latest once the session hibernates again, and
 //!   retention GC reaps old segments wholesale.
 //!
+//! A page-out touches the snapshot's bytes once more after encoding:
+//! the record append copies them into the segment buffer while
+//! computing the record CRC, and the encoded `Vec` itself moves into
+//! the resident map. Nothing is decoded on the way — the
+//! [`EncodedSnapshot`] page type proves the bytes decode, and the raw
+//! [`page_out`](SnapshotPager::page_out) adapter is where bytes of
+//! unknown origin get that proof, before anything is written. Page-outs
+//! are not flushed one by one: the shard worker calls
+//! [`flush`](SnapshotPager::flush) once per popped batch, so a batch's
+//! snapshots reach the OS in one write.
+//!
 //! After a crash the map is gone; [`StorePager::recover`] rebuilds it
 //! from the store via the recovering read discipline (sealed-intact
 //! segments wholly, the `.open` tail's verified prefix), so every
-//! hibernated client whose snapshot reached disk faults back in. A
-//! snapshot still buffered in the OS when the machine died is lost —
-//! that client restarts cold, which the serving layer already treats
+//! hibernated client whose snapshot reached the OS faults back in. A
+//! snapshot that had not — still in the writer's buffer because its
+//! batch had not finished when the process died, or in the OS cache
+//! when the machine died — is lost: that client restarts from its
+//! previous snapshot, or cold, which the serving layer already treats
 //! as a new session. Same trade the flight recorder makes.
 
 use std::collections::BTreeMap;
 
-use mobisense_session::{PageError, SessionSnapshot, SnapshotPager};
+use mobisense_session::{EncodedSnapshot, PageError, SnapshotPager};
 
 use crate::writer::{StoreConfig, TraceWriter, WriteSummary};
 use crate::{StoreError, TraceReader};
@@ -124,38 +137,25 @@ impl StorePager {
 }
 
 impl SnapshotPager for StorePager {
-    fn page_out(&mut self, client: u32, bytes: &[u8]) -> Result<(), PageError> {
-        // The writer re-validates the payload; translate its refusal
-        // into the pager vocabulary so the manager's caller sees one
-        // error type.
+    fn store_page(&mut self, page: EncodedSnapshot) -> Result<(), PageError> {
         self.writer
-            .append_session_snapshot(bytes)
-            .map_err(|e| match e {
-                StoreError::BadSnapshot { error, .. } => PageError::Codec(error),
-                other => PageError::Io(other.to_string()),
-            })?;
-        // Defense in depth for the resident map: the append above
-        // proved the bytes decode, but make the client-id pairing
-        // explicit — filing a snapshot under the wrong client would
-        // resurrect the wrong user's state.
-        let snap_client = SessionSnapshot::peek_client_id(bytes).map_err(PageError::Codec)?;
-        if snap_client != client {
-            return Err(PageError::Io(format!(
-                "snapshot for client {snap_client} paged out under client {client}"
-            )));
-        }
-        // Visibility flush so live tails (and post-crash recovery of
-        // everything the OS accepted) see the record promptly.
-        self.writer
-            .flush()
+            .append_session_snapshot(&page)
             .map_err(|e| PageError::Io(e.to_string()))?;
-        self.latest.insert(client, bytes.to_vec());
+        self.latest.insert(page.client_id(), page.into_bytes());
         self.written += 1;
         Ok(())
     }
 
     fn page_in(&mut self, client: u32) -> Result<Option<Vec<u8>>, PageError> {
         Ok(self.latest.remove(&client))
+    }
+
+    /// Pushes the page-outs buffered since the last flush to the OS:
+    /// from then on live tails and [`StorePager::recover`] see them.
+    fn flush(&mut self) -> Result<(), PageError> {
+        self.writer
+            .flush()
+            .map_err(|e| PageError::Io(e.to_string()))
     }
 }
 
@@ -216,6 +216,30 @@ mod tests {
         let bytes = snapshot_for(7, 2);
         assert!(matches!(pager.page_out(8, &bytes), Err(PageError::Io(_))));
         assert!(pager.is_empty(), "rejected pages must not become resident");
+        pager.flush().expect("flush");
+        assert_eq!(pager.snapshots_written(), 0);
+        pager.finish().expect("finish");
+        // Nor durable: a refused page must not come back after restart.
+        let mut pager = StorePager::recover(StoreConfig::new(&dir)).expect("recover");
+        assert!(pager.is_empty(), "refused page was written to disk");
+        assert_eq!(pager.page_in(7).expect("in"), None);
+    }
+
+    #[test]
+    fn page_out_is_recoverable_after_flush_without_finish() {
+        let dir = testdir::fresh("pager-flush-visible");
+        let mut pager = StorePager::create(StoreConfig::new(&dir)).expect("create");
+        let bytes = snapshot_for(5, 6);
+        pager.page_out(5, &bytes).expect("page out");
+        pager.flush().expect("flush");
+        // The pager is still live and its segment unsealed: the flush
+        // alone made the record visible to the recovering read.
+        let recovery = TraceReader::open(&dir)
+            .expect("open")
+            .recover()
+            .expect("recover");
+        assert_eq!(recovery.session_snapshots, vec![(5, bytes.clone())]);
+        assert_eq!(pager.page_in(5).expect("in"), Some(bytes));
     }
 
     #[test]
@@ -246,8 +270,9 @@ mod tests {
         {
             let mut pager = StorePager::create(StoreConfig::new(&dir)).expect("create");
             pager.page_out(9, &bytes).expect("out");
-            // Drop without finish(): the `.open` tail is the crash
-            // shape — page_out flushed, so the record bytes are there.
+            // The end of the worker's batch, then a drop without
+            // finish(): the `.open` tail is the crash shape.
+            pager.flush().expect("flush");
         }
         let mut pager = StorePager::recover(StoreConfig::new(&dir)).expect("recover");
         assert_eq!(pager.page_in(9).expect("in"), Some(bytes));
@@ -288,7 +313,15 @@ mod tests {
                 .hibernate(&snap, &mut disk)
                 .expect("disk hibernate");
         }
+        // The end of the worker's batch: both flush through the trait.
+        mem.flush().expect("mem flush");
+        disk.flush().expect("disk flush");
         assert_eq!(mem_mgr.hibernated_count(), disk_mgr.hibernated_count());
+        let disk_bytes: usize = [3u32, 4, 5]
+            .iter()
+            .filter_map(|&c| disk.stored_bytes(c))
+            .sum();
+        assert_eq!(mem.stored_bytes(), disk_bytes);
         for client in [3u32, 4, 5] {
             let a = mem_mgr.fault_in(client, &mut mem).expect("mem fault");
             let b = disk_mgr.fault_in(client, &mut disk).expect("disk fault");

@@ -54,6 +54,11 @@ impl SlidingWindow {
         self.buf.iter().copied().collect()
     }
 
+    /// Contents oldest-first, moving the window's buffer out.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.buf.into()
+    }
+
     /// Iterates oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
         self.buf.iter().copied()
@@ -140,11 +145,12 @@ impl BatchMedian {
         self.samples.is_empty()
     }
 
-    /// The raw samples of the current batch, oldest-first. Used to
-    /// snapshot an in-flight aggregation period: replaying these
-    /// through [`push`](Self::push) reconstructs the batch exactly.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+    /// The raw samples of the current batch, oldest-first, moved out.
+    /// Used to snapshot an in-flight aggregation period: replaying
+    /// these through [`push`](Self::push) reconstructs the batch
+    /// exactly.
+    pub fn into_samples(self) -> Vec<f64> {
+        self.samples
     }
 
     /// Ends the batch: returns its median (if non-empty) and clears it.
@@ -233,11 +239,11 @@ impl MovingAverage {
         self.window.mean()
     }
 
-    /// The window's contents oldest-first. Used to snapshot the
-    /// average: replaying these through [`push`](Self::push) into a
+    /// The window's contents oldest-first, moved out. Used to snapshot
+    /// the average: replaying these through [`push`](Self::push) into a
     /// fresh instance of the same capacity reconstructs it exactly.
-    pub fn values(&self) -> Vec<f64> {
-        self.window.as_vec()
+    pub fn into_values(self) -> Vec<f64> {
+        self.window.into_vec()
     }
 
     /// Number of samples currently held.

@@ -102,7 +102,8 @@ fn build_mixed_store(dir: &Path) {
         }
         if i % 20 == 19 {
             let snap = snapshot_for(i % 3, u64::from(i));
-            w.append_session_snapshot(&snap).expect("snapshot");
+            let page = mobisense_session::EncodedSnapshot::validate(snap).expect("valid");
+            w.append_session_snapshot(&page).expect("snapshot");
         }
     }
     w.finish().expect("finish");
@@ -216,7 +217,10 @@ proptest! {
                     w.append_decision_row(&format!("{client},{i},steer")).expect("row");
                 }
                 Op::Snapshot(client, seed) => {
-                    w.append_session_snapshot(&snapshot_for(*client, *seed)).expect("snap");
+                    let page =
+                        mobisense_session::EncodedSnapshot::validate(snapshot_for(*client, *seed))
+                            .expect("valid");
+                    w.append_session_snapshot(&page).expect("snap");
                 }
             }
         }

@@ -288,7 +288,7 @@ mod tests {
     const SRC: &str = "\
 //! Demo crate.
 pub fn live() -> &'static str {
-    // lint: determinism -- demo waiver
+    // lint: hot-path -- demo waiver
     \"string body\"
 }
 

@@ -66,40 +66,10 @@ impl Lexed {
             .unwrap_or(false)
     }
 
-    /// Tags of `// lint: ...` waiver comments that cover `line`: a
-    /// trailing waiver covers its own line; a standalone waiver (a
-    /// comment alone on its line) covers the line immediately below.
-    pub fn waiver_tags(&self, line: usize) -> Vec<String> {
-        let mut tags = Vec::new();
-        for c in &self.comments {
-            let covers = if c.standalone {
-                c.line + 1 == line
-            } else {
-                c.line == line
-            };
-            if !covers {
-                continue;
-            }
-            if let Some(rest) = c.text.strip_prefix("lint:") {
-                let spec = rest.split("--").next().unwrap_or("");
-                for tag in spec.split(',') {
-                    let tag = tag.trim();
-                    if !tag.is_empty() {
-                        tags.push(tag.to_string());
-                    }
-                }
-            }
-        }
-        tags
-    }
-
-    /// Whether `line` carries a waiver with any of `accepted` tags.
-    pub fn waived(&self, line: usize, accepted: &[&str]) -> bool {
-        self.waiver_match(line, accepted).is_some()
-    }
-
     /// The waiver covering `line` with one of `accepted` tags, if any:
-    /// returns the 1-based line of the waiver comment itself and the
+    /// a trailing waiver covers its own line; a standalone waiver (a
+    /// comment alone on its line) covers the line immediately below.
+    /// Returns the 1-based line of the waiver comment itself and the
     /// matched tag — what a lint records as a [`crate::Suppression`]
     /// so the waiver-hygiene pass can tell used waivers from stale
     /// ones.
@@ -569,15 +539,19 @@ fn live_again() {}
         let src = "\
 // lint: poison-loud -- frame path fails fast
 let a = m.lock().expect(\"poisoned\");
-let b = m.lock().expect(\"poisoned\"); // lint: poison-loud, panic
+let b = m.lock().expect(\"poisoned\"); // lint: poison-loud, hot-path
 let c = m.lock().expect(\"poisoned\");
 ";
         let l = lex(src);
-        assert!(l.waived(2, &["poison-loud"]));
-        assert!(l.waived(3, &["panic"]));
-        assert!(l.waived(3, &["poison-loud"]));
-        assert!(!l.waived(4, &["poison-loud"]), "line 4 has no waiver");
-        assert!(!l.waived(2, &["checked-index"]), "wrong tag rejected");
+        let waived = |line, tags| l.waiver_match(line, tags).is_some();
+        assert_eq!(
+            l.waiver_match(2, &["poison-loud"]),
+            Some((1, "poison-loud".into()))
+        );
+        assert!(waived(3, &["hot-path"]));
+        assert!(waived(3, &["poison-loud"]));
+        assert!(!waived(4, &["poison-loud"]), "line 4 has no waiver");
+        assert!(!waived(2, &["format-const"]), "wrong tag rejected");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p mobisense-analyze -- --deny-all          # CI gate
 //! cargo run -p mobisense-analyze -- --list              # lint inventory
-//! cargo run -p mobisense-analyze -- --only determinism  # one lint
+//! cargo run -p mobisense-analyze -- --only hot-path     # one lint
 //! cargo run -p mobisense-analyze -- --root /path/to/ws  # other root
 //! cargo run -p mobisense-analyze -- --cache .analyze-cache \
 //!     --report findings.json --deny-all                 # CI, warm + artifact
@@ -16,8 +16,6 @@
 //! A full-suite run (no `--only`) also runs waiver hygiene: stale or
 //! unknown-tag `// lint:` waivers are findings. A subset run skips it,
 //! because a waiver owned by a lint that did not run would look stale.
-
-#![forbid(unsafe_code)]
 
 use std::env;
 use std::fs;

@@ -23,10 +23,9 @@
 //! }
 //! ```
 //!
-//! Severity is derived from the lint: advisory lints whose findings
-//! are requests for a written reason (`error-swallow`,
-//! `waiver-hygiene`) are `"warning"`; invariant violations are
-//! `"error"`. The CLI exit code ignores the distinction — `--deny-all`
+//! Severity is derived from the lint: `waiver-hygiene` findings are
+//! requests to fix or drop a waiver comment, so they are `"warning"`;
+//! invariant violations are `"error"`. The CLI exit code ignores the distinction — `--deny-all`
 //! means deny all — but dashboards get to rank.
 
 use crate::cache::CacheStats;
@@ -34,10 +33,10 @@ use crate::{Outcome, WAIVER_HYGIENE};
 
 /// Severity of a lint's findings, for the report only.
 pub fn severity(lint: &str) -> &'static str {
-    match lint {
-        "error-swallow" => "warning",
-        l if l == WAIVER_HYGIENE => "warning",
-        _ => "error",
+    if lint == WAIVER_HYGIENE {
+        "warning"
+    } else {
+        "error"
     }
 }
 
@@ -121,15 +120,15 @@ mod tests {
         out.findings.push(Finding {
             file: "crates/store/src/writer.rs".into(),
             line: 88,
-            lint: "error-swallow",
+            lint: "waiver-hygiene",
             message: "m".into(),
         });
         out.suppressions.push(Suppression {
             file: "crates/serve/src/recording.rs".into(),
             waiver_line: 340,
             finding_line: 341,
-            lint: "error-swallow",
-            tag: "error-swallow".into(),
+            lint: "hot-path",
+            tag: "hot-path".into(),
         });
         out
     }
@@ -163,9 +162,8 @@ mod tests {
 
     #[test]
     fn severity_map_is_total() {
-        assert_eq!(severity("determinism"), "error");
+        assert_eq!(severity("lock-discipline"), "error");
         assert_eq!(severity("hold-and-call"), "error");
-        assert_eq!(severity("error-swallow"), "warning");
         assert_eq!(severity("waiver-hygiene"), "warning");
         assert_eq!(severity("anything-else"), "error");
     }

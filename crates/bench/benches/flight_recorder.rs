@@ -16,8 +16,9 @@ use mobisense_bench::report::{self, BenchReport};
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::recording::{RecordPolicy, RecordingConfig};
 use mobisense_serve::service::{serve_streams, serve_streams_recorded, ServeConfig};
-use mobisense_store::{crc32, spawn_flight_recorder, StoreConfig};
+use mobisense_store::{spawn_flight_recorder, StoreConfig};
 use mobisense_telemetry::NoopSink;
+use mobisense_util::crc::crc32;
 use mobisense_util::units::{MILLISECOND, SECOND};
 
 fn main() {

@@ -31,9 +31,11 @@ fn main() {
     );
     let smoke = report::smoke_mode();
 
+    // Even the smoke fleet outlasts the 6 s classifier warm-up, so the
+    // identity checks below compare logs that hold decisions.
     let fleet_cfg = FleetConfig {
         n_clients: if smoke { 24 } else { 192 },
-        duration: if smoke { 3 * SECOND } else { 12 * SECOND },
+        duration: if smoke { 8 * SECOND } else { 12 * SECOND },
         step: 20 * MILLISECOND,
         base_seed: 2014,
         ..FleetConfig::default()
@@ -67,6 +69,7 @@ fn main() {
         assert_eq!(report.frames_processed, fleet.total_frames());
         assert_eq!(report.shed, 0, "blocking mode never sheds");
 
+        assert!(!decisions.is_empty(), "no decisions at {n_shards} shards");
         let log = decision_log_csv(&decisions);
         match &baseline_log {
             None => baseline_log = Some(log),
@@ -118,6 +121,10 @@ fn main() {
     }
     let untraced_decisions = untraced_decisions.expect("ran at least one round");
     let (traced_decisions, traced_report) = traced_kept.expect("ran at least one round");
+    assert!(
+        !untraced_decisions.is_empty(),
+        "untraced run emitted no decisions"
+    );
     assert_eq!(
         decision_log_csv(&untraced_decisions),
         decision_log_csv(&traced_decisions),

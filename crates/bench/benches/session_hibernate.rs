@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use mobisense_bench::header;
 use mobisense_bench::report::{self, BenchReport};
+use mobisense_core::pipeline::PipelineConfig;
 use mobisense_serve::fleet::{EncodedFleet, FleetConfig};
 use mobisense_serve::queue::Ticket;
 use mobisense_serve::service::{decision_log_csv, ServeConfig, ServeReport, ShardEngine};
@@ -105,7 +106,7 @@ fn main() {
 
     let fleet_cfg = FleetConfig {
         n_clients: if smoke { 2_000 } else { 100_000 },
-        duration: SECOND,
+        duration: 3 * SECOND,
         step: 100 * MILLISECOND,
         base_seed: 5_113,
         ..FleetConfig::default()
@@ -122,7 +123,16 @@ fn main() {
         fleet.total_bytes() as f64 / (1024.0 * 1024.0)
     );
 
-    let base_cfg = ServeConfig::default();
+    // A 2 s warm-up instead of the default 6 s: the fleet stays short
+    // at 100k clients, and the classifier still has its first windows
+    // filled, so the identity check below compares logs with decisions.
+    let base_cfg = ServeConfig {
+        pipeline: PipelineConfig {
+            warmup: 2 * SECOND,
+            ..PipelineConfig::default()
+        },
+        ..ServeConfig::default()
+    };
     // Cap the hot set at ~10% of each shard's client share: with the
     // fleet time-major (every client touched every tick) the cap is
     // what drives retirement, so sessions thrash through the snapshot
@@ -143,6 +153,10 @@ fn main() {
 
     // The contract, not a metric: hibernate → restore ≡
     // never-hibernated, byte for byte, migrations included.
+    assert!(
+        resident.report.decisions > 0,
+        "resident run emitted no decisions"
+    );
     assert_eq!(
         resident.csv, hibernating.csv,
         "hibernation/migration changed the decision log"
@@ -188,6 +202,7 @@ fn main() {
 
     println!("clients:                {}", fleet_cfg.n_clients);
     println!("frames served:          {} (x2 runs)", fleet.total_frames());
+    println!("decisions:              {}", resident.report.decisions);
     println!("frames/sec resident:    {fps_resident:.0}");
     println!("frames/sec hibernating: {fps_hibernating:.0}");
     println!(

@@ -34,9 +34,11 @@ fn main() {
     );
     let smoke = report::smoke_mode();
 
+    // Even the smoke fleet outlasts the 6 s classifier warm-up, so the
+    // log-identity check below compares logs that hold decisions.
     let fleet_cfg = FleetConfig {
         n_clients: if smoke { 24 } else { 128 },
-        duration: if smoke { 2 * SECOND } else { 10 * SECOND },
+        duration: if smoke { 8 * SECOND } else { 10 * SECOND },
         step: 20 * MILLISECOND,
         base_seed: 2014,
         ..FleetConfig::default()
@@ -57,6 +59,10 @@ fn main() {
     let (golden_decisions, golden_report) =
         serve_streams(&serve_cfg, &fleet.streams, &mut NoopSink);
     let in_process_secs = t0.elapsed().as_secs_f64();
+    assert!(
+        !golden_decisions.is_empty(),
+        "in-process run emitted no decisions"
+    );
     let golden = decision_log_csv(&golden_decisions);
     assert_eq!(golden_report.frames_processed, fleet.total_frames());
     let in_process_fps = fleet.total_frames() as f64 / in_process_secs;

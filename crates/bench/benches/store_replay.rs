@@ -27,9 +27,11 @@ fn main() {
     );
     let smoke = report::smoke_mode();
 
+    // Even the smoke fleet outlasts the 6 s classifier warm-up, so the
+    // golden log the replays must match holds decisions.
     let fleet_cfg = FleetConfig {
         n_clients: if smoke { 24 } else { 192 },
-        duration: if smoke { 3 * SECOND } else { 12 * SECOND },
+        duration: if smoke { 8 * SECOND } else { 12 * SECOND },
         step: 20 * MILLISECOND,
         base_seed: 2014,
         ..FleetConfig::default()
@@ -70,6 +72,7 @@ fn main() {
     );
 
     // Replay: stored bytes back through the service per shard count.
+    assert!(rec.report.decisions > 0, "golden log holds no decisions");
     println!("shards, frames_per_sec, wall_ms, golden_match");
     let mut best_replay_fps = 0.0f64;
     for n_shards in [1usize, 2, 4, 8] {

@@ -10,7 +10,6 @@
 //! the paper artefact and the expectation, then comma-separated rows a
 //! plotting tool can ingest directly.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;

@@ -32,7 +32,6 @@
 //!   (section 9): AoA bearing tracking that catches a client circling
 //!   the AP, the base classifier's acknowledged blind spot.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aoa_ext;

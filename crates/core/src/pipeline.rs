@@ -6,6 +6,9 @@
 //! [`MobilityClassifier`], runs the ToF sampling/median pipeline, and
 //! records one `(decision, truth)` pair per classifier decision.
 
+// Determinism (DESIGN §5.10): replay must see the same clock and order.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use mobisense_mobility::{GroundTruth, MobilityMode};
 use mobisense_phy::csi::Csi;
 use mobisense_phy::tof::{TofConfig, TofSampler, TofSamplerState};

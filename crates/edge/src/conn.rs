@@ -17,6 +17,14 @@
 //! re-encode — the byte-identical-replay contract extends to the
 //! socket path for free.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+// Determinism (DESIGN §5.10): replay must see the same clock and order.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use mobisense_serve::wire::{decode_stream_lossy, ObsFrame, WireError, MAGIC};
 
 /// Compact (memmove the live tail to the front) once this many

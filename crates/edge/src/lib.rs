@@ -34,8 +34,11 @@
 //! rejected, never silently lost (`accepted == processed + shed +
 //! rejected`, see [`EdgeReport::conserved`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Error swallowing (DESIGN §5.10): a discarded result states why.
+#![cfg_attr(not(test), deny(clippy::let_underscore_untyped))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok))]
 
 pub mod conn;
 pub mod poll;

@@ -1,7 +1,7 @@
 //! The readiness seam behind the reactor's sweep loop.
 //!
 //! A classic reactor blocks in `poll(2)`/`epoll` until a socket is
-//! readable. This workspace is `#![forbid(unsafe_code)]` with no FFI
+//! readable. This workspace forbids `unsafe_code` and has no FFI
 //! crates, so the syscall cannot be issued directly; what `std` exposes
 //! portably is nonblocking I/O plus `WouldBlock`. The reactor therefore
 //! runs **level-triggered sweeps** — try every socket, note whether any

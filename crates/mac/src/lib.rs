@@ -27,7 +27,6 @@
 //! and MIMO-mode policies, and [`sim`] runs saturated-downlink sessions
 //! combining them.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;

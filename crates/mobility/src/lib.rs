@@ -19,7 +19,6 @@
 //! that feeds these positions into the PHY channel lives in
 //! `mobisense-core`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mode;

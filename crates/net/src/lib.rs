@@ -19,7 +19,6 @@
 //! * [`scheduler`] — mobility-aware multi-client downlink scheduling,
 //!   one of the paper's proposed future-work directions (section 9).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod beamform;

@@ -28,7 +28,6 @@
 //!   AP's antenna array, the paper's proposed fix (section 9) for the
 //!   circling-client blind spot.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod airtime;

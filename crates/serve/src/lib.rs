@@ -40,8 +40,11 @@
 //! `DESIGN.md` section 5.7 for how this coexists with the workspace's
 //! single-threaded-determinism rule.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Error swallowing (DESIGN §5.10): a discarded result states why.
+#![cfg_attr(not(test), deny(clippy::let_underscore_untyped))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok))]
 
 pub mod fleet;
 pub mod ops;

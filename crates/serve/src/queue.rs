@@ -12,6 +12,13 @@
 //! position's guard (it pops, drops the guard, then records), but the
 //! declared order below documents the intent and lets the analyzer
 //! reject a future declaration that contradicts it.
+
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 // lock-order: serve.shard-queue < serve.recorder-channel
 
 use std::collections::VecDeque;
@@ -236,6 +243,10 @@ impl ShardQueue {
     where
         I: IntoIterator<Item = QueueItem>,
     {
+        #[expect(
+            clippy::expect_used,
+            reason = "frame path: a poisoned FIFO cannot be trusted, fail the run"
+        )]
         // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
         let mut inner = self.inner.lock().expect("queue poisoned");
         let mut shed = 0u64;
@@ -258,8 +269,11 @@ impl ShardQueue {
                             self.not_empty.notify_one();
                         }
                         inner.parked_producers += 1;
-                        // lint: poison-loud, hot-path -- fail fast on poison; Block backpressure parks the producer until the worker drains (woken by pop_batch/close)
-                        inner = self.not_full.wait(inner).expect("queue poisoned");
+                        #[expect(clippy::expect_used, reason = "fail fast on poison")]
+                        {
+                            // lint: hot-path -- Block backpressure parks the producer until the worker drains (woken by pop_batch/close)
+                            inner = self.not_full.wait(inner).expect("queue poisoned");
+                        }
                         inner.parked_producers -= 1;
                     }
                 }
@@ -314,6 +328,10 @@ impl ShardQueue {
     /// empty, once the queue is closed and drained.
     pub fn pop_batch(&self, batch: &mut Vec<(QueueItem, usize)>) -> bool {
         batch.clear();
+        #[expect(
+            clippy::expect_used,
+            reason = "frame path: a poisoned FIFO cannot be trusted, fail the run"
+        )]
         // lint: poison-loud -- frame path: a poisoned FIFO cannot be trusted, fail the run
         let mut inner = self.inner.lock().expect("queue poisoned");
         loop {
@@ -339,8 +357,11 @@ impl ShardQueue {
                 return false;
             }
             inner.parked_consumers += 1;
-            // lint: poison-loud, hot-path -- fail fast on poison; the worker idles here until a producer enqueues (woken by enqueue/close)
-            inner = self.not_empty.wait(inner).expect("queue poisoned");
+            #[expect(clippy::expect_used, reason = "fail fast on poison")]
+            {
+                // lint: hot-path -- the worker idles here until a producer enqueues (woken by enqueue/close)
+                inner = self.not_empty.wait(inner).expect("queue poisoned");
+            }
             inner.parked_consumers -= 1;
         }
     }

@@ -27,6 +27,12 @@
 //! Decision rows always block: they are appended once, after the
 //! run, and losing one would silently corrupt the golden log.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -421,7 +427,11 @@ impl<B: RecordBackend + 'static> Drop for Recorder<B> {
     fn drop(&mut self) {
         if let Some(thread) = self.thread.take() {
             self.handle.chan.close();
-            // lint: error-swallow -- Drop cannot surface backend output or a panic; finish() is the observing path
+            #[expect(
+                clippy::let_underscore_untyped,
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot surface backend output or a panic; finish() is the observing path"
+            )]
             let _ = thread.join();
         }
     }

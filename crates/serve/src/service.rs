@@ -20,6 +20,9 @@
 //! and one depth histogram per shard, merged after join), so shard
 //! scaling costs no cross-shard synchronisation.
 
+// Determinism (DESIGN §5.10): replay must see the same clock and order.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -343,7 +346,10 @@ impl WorkerSessions<'_> {
         if !self.manager.is_hibernated(client) {
             return;
         }
-        // lint: determinism -- fault-in wall latency is telemetry only, never decisions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fault-in wall latency is telemetry only, never decisions"
+        )]
         let t0 = Instant::now();
         let snap = self
             .manager
@@ -558,7 +564,11 @@ fn run_worker(
                 WorkItem::Frame(ticket, frame) => (ticket, frame),
                 WorkItem::Migrate { client_id, reply } => {
                     let parcel = ws.extract_parcel(client_id);
-                    // lint: error-swallow -- a dropped receiver means the engine is already finishing; the parcel has nowhere to go
+                    #[expect(
+                        clippy::let_underscore_untyped,
+                        clippy::let_underscore_must_use,
+                        reason = "a dropped receiver means the engine is already finishing; the parcel has nowhere to go"
+                    )]
                     let _ = reply.send(parcel);
                     continue;
                 }
@@ -618,7 +628,10 @@ fn run_worker(
                 // One clock read stamps the `Decide` span and, when the
                 // classifier emitted, the end-to-end decision latency — the
                 // traced path pays no read the untraced path doesn't.
-                // lint: determinism -- wall-clock latency telemetry only, never decisions
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock latency telemetry only, never decisions"
+                )]
                 let now = Instant::now();
                 trace.mark_at(Stage::Decide, now);
                 out.stages.observe_trace(trace);
@@ -741,7 +754,10 @@ impl ShardEngine {
     ) -> std::io::Result<ShardEngine> {
         assert!(cfg.n_shards > 0, "need at least one shard");
         assert_eq!(pagers.len(), cfg.n_shards, "one pager per shard");
-        // lint: determinism -- run wall clock feeds the serve report only, never decisions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "run wall clock feeds the serve report only, never decisions"
+        )]
         let started = Instant::now();
         let queues: Vec<Arc<ShardQueue>> = (0..cfg.n_shards)
             .map(|_| Arc::new(ShardQueue::new(cfg.queue_capacity)))

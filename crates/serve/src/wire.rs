@@ -22,6 +22,12 @@
 //! frames can be indexed without a framing layer. Decoding is total:
 //! truncated or corrupt input yields a [`WireError`], never a panic.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use mobisense_phy::csi::Csi;
 use mobisense_util::units::Nanos;
 

@@ -35,6 +35,12 @@
 //! bytes of unknown origin, so whoever holds one — a pager, the trace
 //! store's writer — stores it without checking it again.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use mobisense_core::classifier::{Classification, ClassifierState};
 use mobisense_core::pipeline::SessionState;
 use mobisense_core::similarity::SimilarityState;

@@ -23,6 +23,14 @@
 //! for tests and memory-only deployments, and the trace store's
 //! disk-backed pager in `mobisense-store`.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+// Determinism (DESIGN §5.10): replay must see the same clock and order.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use mobisense_util::units::Nanos;

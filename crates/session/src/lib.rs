@@ -36,8 +36,11 @@
 //!   backend (in-memory here; the trace store implements the trait in
 //!   `mobisense-store`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Error swallowing (DESIGN §5.10): a discarded result states why.
+#![cfg_attr(not(test), deny(clippy::let_underscore_untyped))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok))]
 
 pub mod codec;
 pub mod hibernate;

@@ -53,6 +53,14 @@
 //! do, then compact). It also assumes a quiescent store — no live
 //! writer appending to the generation being replaced.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+// Determinism (DESIGN §5.10): replay must see the same clock and order.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::fs;
 use std::io;
 use std::time::Instant;
@@ -224,7 +232,10 @@ impl StreamingCompactor {
     }
 
     fn run_inner<S: Sink + ?Sized>(&self, sink: &mut S) -> Result<CompactReport, StoreError> {
-        // lint: determinism -- wall clock feeds throughput telemetry only, never a record byte
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall clock feeds throughput telemetry only, never a record byte"
+        )]
         let started = Instant::now();
         let dir = &self.cfg.dir;
         let old_generation = manifest::current_generation(dir)?;

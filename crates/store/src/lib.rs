@@ -8,7 +8,6 @@
 //! any production decision can be reproduced on a laptop. This crate
 //! is that subsystem, built entirely on `std`:
 //!
-//! * [`crc`] — hand-rolled CRC-32 (no dependencies);
 //! * [`segment`] — the on-disk format: a versioned header,
 //!   length-prefixed CRC-checksummed records, and a sealing footer
 //!   carrying the record count, a whole-body checksum and a **sparse
@@ -48,11 +47,13 @@
 //! prefix) from "sealed data that went bad" (skip the segment, say
 //! so). Nothing is ever silently wrong.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Error swallowing (DESIGN §5.10): a discarded result states why.
+#![cfg_attr(not(test), deny(clippy::let_underscore_untyped))]
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+#![cfg_attr(not(test), deny(clippy::unused_result_ok))]
 
 pub mod compact;
-pub mod crc;
 pub mod manifest;
 pub mod pager;
 pub mod reader;
@@ -64,7 +65,6 @@ pub mod tail;
 pub mod writer;
 
 pub use compact::{compact, CompactOptions, CompactReport, CrashPoint, StreamingCompactor};
-pub use crc::{crc32, Crc32};
 pub use manifest::current_generation;
 pub use pager::StorePager;
 pub use reader::{Recovery, SegmentMeta, TraceReader};

@@ -29,12 +29,18 @@
 //! the CRC turns into a loud [`std::io::ErrorKind::InvalidData`] error
 //! instead of a silent wrong-generation read.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::crc::crc32;
 use crate::segment::{le_u16, le_u32, le_u64};
+use mobisense_util::crc::crc32;
 
 /// Magic word opening the manifest ("MSMF" little-endian).
 pub const MANIFEST_MAGIC: u32 = 0x464D_534D;

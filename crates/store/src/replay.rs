@@ -19,6 +19,9 @@
 //! the golden log (per-client sessions are seeded by client id alone,
 //! so serving a client in isolation is behaviour-identical).
 
+// Determinism (DESIGN §5.10): replay must see the same clock and order.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use std::collections::BTreeMap;
 
 use mobisense_serve::fleet::{ClientStream, EncodedFleet};

@@ -38,9 +38,15 @@
 //! trusted); record-level damage yields the good record prefix plus a
 //! typed [`SegmentError`] saying why the scan stopped.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use mobisense_util::units::Nanos;
 
-use crate::crc::{crc32, Crc32};
+use mobisense_util::crc::{crc32, Crc32};
 
 /// Segment file magic: `"MSSG"` little-endian.
 pub const SEGMENT_MAGIC: u32 = 0x4753_534D;
@@ -319,9 +325,9 @@ pub(crate) fn le_u64(b: &[u8], o: usize) -> Option<u64> {
 /// Writes the 16-byte segment header.
 pub fn segment_header(segment_id: u64) -> [u8; SEGMENT_HEADER_LEN] {
     let mut h = [0u8; SEGMENT_HEADER_LEN];
-    h[0..4].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes()); // lint: checked-index -- const range in [u8; 16]
-    h[4..6].copy_from_slice(&SEGMENT_VERSION.to_le_bytes()); // lint: checked-index -- const range in [u8; 16]
-    h[8..16].copy_from_slice(&segment_id.to_le_bytes()); // lint: checked-index -- const range in [u8; 16]
+    h[0..4].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
+    h[4..6].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    h[8..16].copy_from_slice(&segment_id.to_le_bytes());
     h
 }
 
@@ -425,7 +431,7 @@ pub fn scan_segment(bytes: &[u8]) -> Result<ScannedSegment<'_>, SegmentError> {
             break;
         };
         if kind == RecordKind::Seal {
-            // lint: checked-index -- pos < bytes.len() loop invariant
+            #[expect(clippy::indexing_slicing, reason = "pos < bytes.len() loop invariant")]
             let body_crc = crc32(&bytes[..pos]);
             match SealInfo::decode(payload) {
                 Some(info)

@@ -14,6 +14,12 @@
 //! [`TraceReader::recover`](crate::reader::TraceReader::recover)
 //! knows how to salvage.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -22,13 +28,13 @@ use mobisense_serve::wire::ObsFrame;
 use mobisense_session::EncodedSnapshot;
 use mobisense_util::units::Nanos;
 
-use crate::crc::Crc32;
 use crate::reader::{SegmentMeta, TraceReader};
 use crate::retention::RetentionPolicy;
 use crate::segment::{
     self, RecordKind, SealInfo, SegmentIndex, MAX_RECORD_LEN, RECORD_OVERHEAD, SEGMENT_HEADER_LEN,
 };
 use crate::{open_name, parse_segment_name, sealed_name, StoreError};
+use mobisense_util::crc::Crc32;
 
 /// Bytes the segment file handle buffers before a `write(2)`: a
 /// shard's pager appends ~1.7 KB snapshots and flushes once per popped
@@ -94,7 +100,10 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     File::open(dir)?.sync_all()?;
     #[cfg(not(unix))]
-    // lint: error-swallow -- non-unix: no portable directory fsync; the parameter is deliberately unused
+    #[expect(
+        clippy::let_underscore_untyped,
+        reason = "non-unix: no portable directory fsync; the parameter is deliberately unused"
+    )]
     let _ = dir;
     Ok(())
 }
@@ -753,7 +762,10 @@ mod tests {
         let summary = w.finish().expect("finish");
         assert_eq!(summary.segments.len(), 1);
         let bytes = fs::read(&summary.segments[0].path).expect("read");
-        assert_eq!((bytes.len(), crate::crc::crc32(&bytes)), (574, 0x03e2_9667));
+        assert_eq!(
+            (bytes.len(), mobisense_util::crc::crc32(&bytes)),
+            (574, 0x03e2_9667)
+        );
     }
 
     #[test]

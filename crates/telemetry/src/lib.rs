@@ -32,7 +32,6 @@
 //! only wall-clock use is span timing ([`timed`]), which measures host
 //! performance and deliberately never feeds back into simulation state.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

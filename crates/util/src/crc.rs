@@ -3,8 +3,7 @@
 //!
 //! This lives in the foundation crate so that every on-disk and
 //! on-the-wire format in the workspace (store segments, session
-//! snapshots) shares a single audited checksum; `mobisense_store::crc`
-//! re-exports it under its historical path. The update uses
+//! snapshots) shares a single audited checksum. The update uses
 //! **slicing-by-8**: eight 256-entry tables built in a `const fn`,
 //! consuming one 8-byte chunk per iteration instead of one byte, which
 //! keeps the record path from being checksum-bound now that the flight
@@ -23,6 +22,12 @@
 //! independent chains, and `combine` joins their checksums: about twice
 //! as fast on a 1.7 KB snapshot, the same result bit for bit.
 
+// Panic discipline (DESIGN §5.10): a frame-path panic kills a worker.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::string_slice))]
+
 const POLY: u32 = 0xEDB8_8320;
 
 /// `TABLES[0]` is the classic byte-at-a-time table;
@@ -32,6 +37,7 @@ const POLY: u32 = 0xEDB8_8320;
 const fn make_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
+    #[expect(clippy::indexing_slicing, reason = "i < 256, table is [_; 256]")]
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
@@ -39,15 +45,18 @@ const fn make_tables() -> [[u32; 256]; 8] {
             c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        tables[0][i] = c; // lint: checked-index -- i < 256, table is [_; 256]
+        tables[0][i] = c;
         i += 1;
     }
     let mut t = 1usize;
     while t < 8 {
         let mut i = 0usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "1 <= t < 8, i < 256; the inner index is masked to u8"
+        )]
         while i < 256 {
-            let prev = tables[t - 1][i]; // lint: checked-index -- 1 <= t < 8, i < 256
-                                         // lint: checked-index -- index masked to u8
+            let prev = tables[t - 1][i];
             tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
@@ -61,8 +70,11 @@ static TABLES: [[u32; 256]; 8] = make_tables();
 /// One table lookup: `t` is a literal 0..8 at every call site and the
 /// byte index is masked, so the access is always in bounds.
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "t < 8 const at call sites, index masked to u8"
+)]
 fn tbl(t: usize, b: u32) -> u32 {
-    // lint: checked-index -- t < 8 const at call sites, index masked to u8
     TABLES[t][(b & 0xFF) as usize]
 }
 
@@ -178,6 +190,10 @@ const fn multmodp(a: u32, b: u32) -> u32 {
     let b3 = times_x(b2);
     let mut m = [0u32; 16];
     let mut v = 1usize;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "v & (v - 1) < v < 16, m is [_; 16]"
+    )]
     while v < 16 {
         // The lowest set bit of v, bit k, is the x^(3 - k) coefficient.
         let bx = match v.trailing_zeros() {
@@ -186,16 +202,16 @@ const fn multmodp(a: u32, b: u32) -> u32 {
             2 => b1,
             _ => b,
         };
-        // lint: checked-index -- v & (v - 1) < v < 16, m is [_; 16]
         m[v] = m[v & (v - 1)] ^ bx;
         v += 1;
     }
     let mut p = 0u32;
     let mut shift = 0u32;
+    #[expect(clippy::indexing_slicing, reason = "indices masked to 4 bits")]
     while shift < 32 {
         // p * x^4 mod P: shift out four coefficients, reduce them.
-        p = (p >> 4) ^ REDUCE4[(p & 0xF) as usize]; // lint: checked-index -- index masked to 4 bits
-        p ^= m[((a >> shift) & 0xF) as usize]; // lint: checked-index -- index masked to 4 bits
+        p = (p >> 4) ^ REDUCE4[(p & 0xF) as usize];
+        p ^= m[((a >> shift) & 0xF) as usize];
         shift += 4;
     }
     p
@@ -211,8 +227,9 @@ const fn times_x(c: u32) -> u32 {
 const REDUCE4: [u32; 16] = {
     let mut t = [0u32; 16];
     let mut v = 0usize;
+    #[expect(clippy::indexing_slicing, reason = "v < 16, table is [_; 16]")]
     while v < 16 {
-        t[v] = times_x(times_x(times_x(times_x(v as u32)))); // lint: checked-index -- v < 16, table is [_; 16]
+        t[v] = times_x(times_x(times_x(times_x(v as u32))));
         v += 1;
     }
     t
@@ -229,8 +246,9 @@ const fn make_zero_tables() -> [[u32; 256]; 2] {
     let mut t = [[0u32; 256]; 2];
     let mut p = ONE;
     let mut n = 0usize;
+    #[expect(clippy::indexing_slicing, reason = "n < 256, table is [[_; 256]; 2]")]
     while n < 256 {
-        t[0][n] = p; // lint: checked-index -- n < 256, table is [[_; 256]; 2]
+        t[0][n] = p;
         p = multmodp(ONE >> 8, p); // times x^8
         n += 1;
     }
@@ -238,8 +256,9 @@ const fn make_zero_tables() -> [[u32; 256]; 2] {
     let step = p;
     p = ONE;
     n = 0;
+    #[expect(clippy::indexing_slicing, reason = "n < 256, table is [[_; 256]; 2]")]
     while n < 256 {
-        t[1][n] = p; // lint: checked-index -- n < 256, table is [[_; 256]; 2]
+        t[1][n] = p;
         p = multmodp(step, p);
         n += 1;
     }
@@ -283,8 +302,11 @@ fn mul(a: u32, b: u32) -> u32 {
 }
 
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "t is a literal 0 or 1, index masked to u8"
+)]
 fn zeros_lookup(t: usize, n: usize) -> u32 {
-    // lint: checked-index -- t is a literal 0 or 1, index masked to u8
     ZEROS[t & 1][n & 0xFF]
 }
 

@@ -2,5 +2,4 @@
 //! span several `mobisense` crates, and the `examples/` directory at the
 //! repository root is built as this crate's examples.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,10 @@
 //! Cross-crate analyzer tests: the lint suite holds on the shipped
-//! workspace, every lint self-describes, and the telemetry round-trip
-//! test is *generated* from the same `Event` inventory the analyzer's
-//! exhaustiveness lint checks — so adding a variant without extending
-//! the exporter fails here and under `mobisense-analyze` alike.
+//! workspace, every lint self-describes, every workspace member
+//! inherits the workspace's rustc/clippy lint tables, and the
+//! telemetry round-trip test is *generated* from the same `Event`
+//! inventory the analyzer's exhaustiveness lint checks — so adding a
+//! variant without extending the exporter fails here and under
+//! `mobisense-analyze` alike.
 
 use std::path::{Path, PathBuf};
 
@@ -50,10 +52,9 @@ fn shipped_workspace_has_no_findings() {
 /// the same trees CI gates with `--root ... --only <lint> --deny-all`.
 #[test]
 fn committed_fixtures_trip_their_lints() {
-    let cases: [(&str, &str, &[&str]); 3] = [
+    let cases: [(&str, &str, &[&str]); 2] = [
         ("hold_and_call", "hold-and-call", &["fs::rename", "cycle"]),
         ("blocking_hot_path", "hot-path", &["sleep", "fs::write"]),
-        ("error_swallow", "error-swallow", &["let _", ".ok()"]),
     ];
     for (dir, lint_name, needles) in cases {
         let root = repo_root().join("crates/analyze/fixtures").join(dir);
@@ -77,22 +78,19 @@ fn committed_fixtures_trip_their_lints() {
     }
 }
 
-/// The suite carries the nine contract lints, each with a distinct
-/// name and a non-empty invariant statement (what `--list` prints).
+/// The suite carries the five contract lints that rustc and clippy
+/// cannot express, each with a distinct name and a non-empty invariant
+/// statement (what `--list` prints).
 #[test]
-fn lint_suite_covers_the_nine_contracts() {
+fn lint_suite_covers_the_five_contracts() {
     let lints = all_lints();
     let names: Vec<&str> = lints.iter().map(|l| l.name()).collect();
     for expected in [
-        "determinism",
-        "panic-paths",
         "lock-discipline",
         "hold-and-call",
         "hot-path",
-        "error-swallow",
         "telemetry-exhaustive",
         "format-const",
-        "unsafe-ban",
     ] {
         assert!(
             names.contains(&expected),
@@ -110,6 +108,75 @@ fn lint_suite_covers_the_nine_contracts() {
             lint.name()
         );
     }
+}
+
+/// The `[workspace.lints.*]` tables of a manifest, header and entries,
+/// blank lines and comments dropped.
+fn workspace_lint_tables(manifest: &str) -> Vec<&str> {
+    let mut in_lints = false;
+    let mut out = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line.starts_with("[workspace.lints");
+        }
+        if in_lints && !line.is_empty() && !line.starts_with('#') {
+            out.push(line);
+        }
+    }
+    out
+}
+
+/// Every workspace member — each match of the root manifest's
+/// `members` globs — opts into the workspace lint tables, so
+/// `unsafe_code = "forbid"` and the clippy settings bind in a crate
+/// added tomorrow too. The clippy-rules fixture, a workspace of its
+/// own, must carry the same tables it is meant to exercise.
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let root = repo_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("read root manifest");
+    let tables = workspace_lint_tables(&manifest);
+    assert!(
+        tables.contains(&"unsafe_code = \"forbid\""),
+        "workspace lints lost the unsafe ban: {tables:?}"
+    );
+    let members_line = manifest
+        .lines()
+        .find(|l| l.trim_start().starts_with("members"))
+        .expect("root manifest lists members");
+    let mut members = Vec::new();
+    for glob in members_line.split('"').skip(1).step_by(2) {
+        match glob.strip_suffix("/*") {
+            Some(dir) => {
+                for entry in std::fs::read_dir(root.join(dir)).expect("member glob dir") {
+                    let path = entry.expect("dir entry").path();
+                    if path.join("Cargo.toml").is_file() {
+                        members.push(path);
+                    }
+                }
+            }
+            None => members.push(root.join(glob)),
+        }
+    }
+    assert!(
+        members.len() >= 17,
+        "member discovery looks broken: {members:?}"
+    );
+    for member in &members {
+        let text = std::fs::read_to_string(member.join("Cargo.toml")).expect("read manifest");
+        assert!(
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not opt into the workspace lints",
+            member.display()
+        );
+    }
+    let fixture = std::fs::read_to_string(root.join("xtests/fixtures/clippy_rules/Cargo.toml"))
+        .expect("read fixture manifest");
+    assert_eq!(
+        workspace_lint_tables(&fixture),
+        tables,
+        "the clippy-rules fixture must mirror the root lint tables"
+    );
 }
 
 /// A sample value for each known `Event` variant. Failing on an
